@@ -1,9 +1,12 @@
 #include "fuzz/oracles.hpp"
 
+#include <cerrno>
+#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -43,28 +46,6 @@ core::WorkflowOptions scenario_options(const Scenario& s) {
 std::unique_ptr<obs::Registry> virtual_registry() {
   return std::make_unique<obs::Registry>(std::make_unique<obs::VirtualClock>(1));
 }
-
-/// Scratch directory under the system temp root, unique per (purpose,
-/// seed); recreated empty.
-class ScratchDir {
- public:
-  ScratchDir(const std::string& purpose, std::uint64_t seed) {
-    path_ = (fs::temp_directory_path() /
-             ("autonet-fuzz-" + purpose + "-" + std::to_string(seed)))
-                .string();
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-    fs::create_directories(path_, ec);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 std::string truncate_detail(std::string text, std::size_t limit = 400) {
   if (text.size() > limit) {
@@ -471,6 +452,24 @@ const Oracle* find_oracle(std::string_view name) {
     if (oracle.name == name) return &oracle;
   }
   return nullptr;
+}
+
+ScratchDir::ScratchDir(const std::string& purpose, std::uint64_t seed) {
+  std::string pattern = (fs::temp_directory_path() /
+                         ("autonet-fuzz-" + purpose + "-" + std::to_string(seed) +
+                          "-XXXXXX"))
+                            .string();
+  if (::mkdtemp(pattern.data()) == nullptr) {
+    const int error = errno;
+    throw std::system_error(error, std::generic_category(),
+                            "cannot create scratch directory " + pattern);
+  }
+  path_ = std::move(pattern);
+}
+
+ScratchDir::~ScratchDir() {
+  std::error_code ec;
+  fs::remove_all(path_, ec);
 }
 
 }  // namespace autonet::fuzz

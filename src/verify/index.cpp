@@ -1,5 +1,7 @@
 #include "verify/index.hpp"
 
+#include <algorithm>
+
 namespace autonet::verify::detail {
 
 using nidb::Array;
@@ -40,27 +42,25 @@ NidbIndex NidbIndex::build(const nidb::Nidb& nidb) {
 
   for (const DeviceRecord* rec : nidb.devices()) {
     const Value& d = rec->data;
-    index.device_asn[rec->name] = find_int(d, "asn", 0);
-    if (const std::string* type = find_string(d, "device_type")) {
-      index.device_type[rec->name] = *type;
-    }
+    DeviceView& view = index.devices.emplace_back();
+    view.name = rec->name;
+    view.asn = find_int(d, "asn", 0);
+    if (const std::string* type = find_string(d, "device_type")) view.type = *type;
     if (const std::string* hostname = find_string(d, "hostname")) {
       index.hostname_users[*hostname].push_back(rec->name);
     }
 
     auto claim_address = [&](const std::string& with_len, std::string path) {
       std::string ip = strip_len(with_len);
-      auto [it, inserted] = index.address_owner.emplace(ip, rec->name);
-      if (!inserted && it->second != rec->name) {
+      const std::size_t self = index.devices.size() - 1;
+      auto [it, inserted] = index.address_owner.emplace(ip, self);
+      if (!inserted && it->second != self) {
         index.duplicate_addresses.push_back(
-            {ip, rec->name, it->second, std::move(path)});
+            {ip, rec->name, index.devices[it->second].name, std::move(path)});
+        view.contested.insert(std::move(ip));
       }
-      index.owned[rec->name].insert(ip);
     };
-    if (const std::string* lo = find_string(d, "loopback")) {
-      index.device_loopback[rec->name] = strip_len(*lo);
-      claim_address(*lo, "loopback");
-    }
+    if (const std::string* lo = find_string(d, "loopback")) claim_address(*lo, "loopback");
 
     // OSPF coverage: which networks this device's process covers, and in
     // which area (for per-subnet consistency and next-hop resolution).
@@ -74,12 +74,16 @@ NidbIndex NidbIndex::build(const nidb::Nidb& nidb) {
           if (network != nullptr) {
             const Value* area = link.find("area");
             covered[*network] = area != nullptr ? area->as_int().value_or(0) : 0;
-            index.ospf_covered[rec->name].insert(*network);
+            view.runs_ospf = true;
+            if (auto p = addressing::Ipv4Prefix::parse(*network)) {
+              view.ospf_networks.push_back(*p);
+            }
           }
         }
       }
     }
 
+    view.interfaces_begin = index.interfaces.size();
     if (const Value* ifaces = d.find("interfaces")) {
       if (const Array* arr = ifaces->as_array()) {
         for (std::size_t i = 0; i < arr->size(); ++i) {
@@ -98,14 +102,17 @@ NidbIndex NidbIndex::build(const nidb::Nidb& nidb) {
           if (stub == nullptr || !stub->truthy()) {
             claim_address(*ip, "interfaces[" + std::to_string(i) + "].ip_address");
           }
-          index.interfaces.push_back({rec->name, strip_len(*ip), *subnet, i});
+          index.interfaces.push_back({rec->name, strip_len(*ip), *subnet,
+                                      addressing::Ipv4Prefix::parse(*subnet), i});
           auto it = covered.find(*subnet);
           index.subnet_attachments[*subnet].push_back(
               {rec->name, it == covered.end() ? -1 : it->second});
         }
       }
     }
+    view.interfaces_end = index.interfaces.size();
 
+    view.neighbors_begin = index.neighbors.size();
     for (const bool ibgp : {true, false}) {
       const Value* list =
           d.find_path(ibgp ? "bgp.ibgp_neighbors" : "bgp.ebgp_neighbors");
@@ -130,6 +137,13 @@ NidbIndex NidbIndex::build(const nidb::Nidb& nidb) {
         index.neighbors.push_back(std::move(ref));
       }
     }
+    view.neighbors_end = index.neighbors.size();
+  }
+
+  // Resolve every statement's peer now that every address is claimed.
+  for (auto& n : index.neighbors) {
+    auto owner = index.address_owner.find(n.neighbor_ip);
+    if (owner != index.address_owner.end()) n.peer = owner->second;
   }
 
   // Derive the iBGP session view from the gathered neighbor statements:
@@ -138,28 +152,22 @@ NidbIndex NidbIndex::build(const nidb::Nidb& nidb) {
   std::map<std::string, std::set<std::string>> stated;
   std::map<std::pair<std::string, std::string>, bool> client_edge;
   std::set<std::int64_t> active_as;  // ASes with any iBGP configured
-  for (const auto& n : index.neighbors) {
-    if (!n.ibgp || n.neighbor_ip.empty()) continue;
-    auto owner = index.address_owner.find(n.neighbor_ip);
-    if (owner == index.address_owner.end()) continue;  // bgp-unknown-peer
-    const std::string& peer = owner->second;
-    auto as_a = index.device_asn.find(n.device);
-    auto as_b = index.device_asn.find(peer);
-    if (as_a == index.device_asn.end() || as_b == index.device_asn.end() ||
-        as_a->second != as_b->second) {
-      continue;  // bgp-wrong-as territory
+  for (const DeviceView& view : index.devices) {
+    for (const auto& n : index.neighbors_of(view)) {
+      if (!n.ibgp || n.neighbor_ip.empty()) continue;
+      if (n.peer == kNoDevice) continue;  // bgp-unknown-peer
+      const DeviceView& peer = index.devices[n.peer];
+      if (view.asn != peer.asn) continue;  // bgp-wrong-as territory
+      stated[view.name].insert(peer.name);
+      if (n.rr_client) client_edge[{view.name, peer.name}] = true;
+      active_as.insert(view.asn);
     }
-    stated[n.device].insert(peer);
-    if (n.rr_client) client_edge[{n.device, peer}] = true;
-    active_as.insert(as_a->second);
   }
   // Every router of an AS that runs iBGP is a member — including one
   // with no sessions at all, which is exactly a partition.
-  for (const auto& [device, asn] : index.device_asn) {
-    if (!active_as.contains(asn)) continue;
-    auto type = index.device_type.find(device);
-    if (type != index.device_type.end() && type->second == "router") {
-      index.ibgp.members[asn].insert(device);
+  for (const DeviceView& view : index.devices) {
+    if (active_as.contains(view.asn) && view.type == "router") {
+      index.ibgp.members[view.asn].insert(view.name);
     }
   }
   for (const auto& [device, peers] : stated) {
@@ -174,6 +182,29 @@ NidbIndex NidbIndex::build(const nidb::Nidb& nidb) {
     }
   }
   return index;
+}
+
+const DeviceView* NidbIndex::device(std::string_view name) const {
+  auto it = std::ranges::lower_bound(devices, name, std::less<>{}, &DeviceView::name);
+  return it != devices.end() && it->name == name ? &*it : nullptr;
+}
+
+std::span<const InterfaceRef> NidbIndex::interfaces_of(const DeviceView& view) const {
+  return std::span(interfaces)
+      .subspan(view.interfaces_begin, view.interfaces_end - view.interfaces_begin);
+}
+
+std::span<const NeighborRef> NidbIndex::neighbors_of(const DeviceView& view) const {
+  return std::span(neighbors)
+      .subspan(view.neighbors_begin, view.neighbors_end - view.neighbors_begin);
+}
+
+bool NidbIndex::attaches_subnet_containing(const DeviceView& view,
+                                           addressing::Ipv4Addr addr) const {
+  for (const auto& iface : interfaces_of(view)) {
+    if (iface.prefix && iface.prefix->contains(addr)) return true;
+  }
+  return false;
 }
 
 }  // namespace autonet::verify::detail

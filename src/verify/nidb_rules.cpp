@@ -1,5 +1,6 @@
 // The ported NIDB consistency checks (the former static_check monolith),
 // each a registered rule over the shared NidbIndex gather pass.
+#include <algorithm>
 #include <set>
 #include <utility>
 #include <vector>
@@ -69,7 +70,7 @@ void check_bgp_unknown_peer(const RuleContext& ctx, Emitter& out) {
                n.path());
       continue;
     }
-    if (!index.address_owner.contains(n.neighbor_ip)) {
+    if (n.peer == detail::kNoDevice) {
       out.emit(n.device, "neighbor " + n.neighbor_ip + " is owned by no device",
                n.path());
     }
@@ -79,14 +80,11 @@ void check_bgp_unknown_peer(const RuleContext& ctx, Emitter& out) {
 void check_bgp_wrong_as(const RuleContext& ctx, Emitter& out) {
   const NidbIndex& index = *ctx.index;
   for (const auto& n : index.neighbors) {
-    auto owner = index.address_owner.find(n.neighbor_ip);
-    if (owner == index.address_owner.end()) continue;  // bgp-unknown-peer
-    const std::string& peer = owner->second;
-    auto asn = index.device_asn.find(peer);
-    const std::int64_t peer_as = asn == index.device_asn.end() ? 0 : asn->second;
-    if (n.remote_as != peer_as) {
-      out.emit(n.device, "neighbor " + n.neighbor_ip + " (" + peer + ") is AS" +
-                             std::to_string(peer_as) + " but remote-as says " +
+    if (n.peer == detail::kNoDevice) continue;  // bgp-unknown-peer
+    const detail::DeviceView& peer = index.devices[n.peer];
+    if (n.remote_as != peer.asn) {
+      out.emit(n.device, "neighbor " + n.neighbor_ip + " (" + peer.name + ") is AS" +
+                             std::to_string(peer.asn) + " but remote-as says " +
                              std::to_string(n.remote_as),
                n.path());
     }
@@ -95,38 +93,35 @@ void check_bgp_wrong_as(const RuleContext& ctx, Emitter& out) {
 
 void check_bgp_asym_session(const RuleContext& ctx, Emitter& out) {
   const NidbIndex& index = *ctx.index;
-  for (const auto& n : index.neighbors) {
-    auto owner = index.address_owner.find(n.neighbor_ip);
-    if (owner == index.address_owner.end()) continue;  // bgp-unknown-peer
-    const std::string& peer = owner->second;
-    auto mine = index.owned.find(n.device);
-    bool reverse = false;
-    for (const auto& back : index.neighbors) {
-      if (back.device == peer && mine != index.owned.end() &&
-          mine->second.contains(back.neighbor_ip)) {
-        reverse = true;
-        break;
+  for (std::size_t device = 0; device < index.devices.size(); ++device) {
+    const detail::DeviceView& mine = index.devices[device];
+    for (const auto& n : index.neighbors_of(mine)) {
+      if (n.peer == detail::kNoDevice) continue;  // bgp-unknown-peer
+      const detail::DeviceView& peer = index.devices[n.peer];
+      // A reverse statement is one of the peer's own that targets any
+      // address this device claims: one it owns, or a duplicate of
+      // another device's.
+      const bool reverse = std::ranges::any_of(index.neighbors_of(peer), [&](const auto& back) {
+        return back.peer == device || mine.contested.contains(back.neighbor_ip);
+      });
+      if (!reverse) {
+        out.emit(n.device, "session to " + n.neighbor_ip + " (" + peer.name +
+                               ") has no matching reverse neighbor statement",
+                 n.path());
       }
-    }
-    if (!reverse) {
-      out.emit(n.device, "session to " + n.neighbor_ip + " (" + peer +
-                             ") has no matching reverse neighbor statement",
-               n.path());
     }
   }
 }
 
 bool routers_same_as(const NidbIndex& index, const std::string& a,
                      const std::string& b) {
-  auto type = [&](const std::string& d) {
-    auto it = index.device_type.find(d);
-    return it == index.device_type.end() ? std::string() : it->second;
+  const detail::DeviceView* va = index.device(a);
+  const detail::DeviceView* vb = index.device(b);
+  const auto asn = [](const detail::DeviceView* v) { return v != nullptr ? v->asn : 0; };
+  const auto is_router = [](const detail::DeviceView* v) {
+    return v != nullptr && v->type == "router";
   };
-  auto asn = [&](const std::string& d) {
-    auto it = index.device_asn.find(d);
-    return it == index.device_asn.end() ? std::int64_t{0} : it->second;
-  };
-  return asn(a) == asn(b) && type(a) == "router" && type(b) == "router";
+  return asn(va) == asn(vb) && is_router(va) && is_router(vb);
 }
 
 void check_ospf_half_link(const RuleContext& ctx, Emitter& out) {

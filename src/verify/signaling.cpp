@@ -139,77 +139,48 @@ void check_rr_cluster_loop(const RuleContext& ctx, Emitter& out) {
 
 void check_ibgp_nexthop(const RuleContext& ctx, Emitter& out) {
   const NidbIndex& index = *ctx.index;
-  for (const auto& n : index.neighbors) {
-    if (!n.ibgp || n.neighbor_ip.empty()) continue;
-    auto owner = index.address_owner.find(n.neighbor_ip);
-    if (owner == index.address_owner.end()) continue;
-    const std::string& peer = owner->second;
-    auto as_a = index.device_asn.find(n.device);
-    auto as_b = index.device_asn.find(peer);
-    if (as_a == index.device_asn.end() || as_b == index.device_asn.end() ||
-        as_a->second != as_b->second) {
-      continue;
-    }
+  for (const auto& own : index.devices) {
     // Only reason about next-hop resolution when this device runs an
     // IGP; without one there is no coverage to check against.
-    auto own_igp = index.ospf_covered.find(n.device);
-    if (own_igp == index.ospf_covered.end() || own_igp->second.empty()) continue;
-
-    auto addr = Ipv4Addr::parse(n.neighbor_ip);
-    if (!addr) continue;
-    bool resolvable = false;
-    // Directly connected: the loopback sits inside a subnet we attach to.
-    for (const auto& iface : index.interfaces) {
-      if (iface.device != n.device) continue;
-      if (auto p = Ipv4Prefix::parse(iface.subnet); p && p->contains(*addr)) {
-        resolvable = true;
-        break;
+    if (!own.runs_ospf) continue;
+    for (const auto& n : index.neighbors_of(own)) {
+      if (!n.ibgp || n.neighbor_ip.empty() || n.peer == detail::kNoDevice) continue;
+      const detail::DeviceView& peer = index.devices[n.peer];
+      if (own.asn != peer.asn) continue;
+      auto addr = Ipv4Addr::parse(n.neighbor_ip);
+      if (!addr) continue;
+      // Directly connected (the loopback sits inside a subnet we attach
+      // to), or advertised by the peer's IGP process.
+      const bool resolvable =
+          index.attaches_subnet_containing(own, *addr) ||
+          std::ranges::any_of(peer.ospf_networks,
+                              [&](const Ipv4Prefix& p) { return p.contains(*addr); });
+      if (!resolvable) {
+        out.emit(own.name,
+                 "iBGP neighbor " + n.neighbor_ip + " (" + peer.name +
+                     ") is unresolvable: " + peer.name +
+                     " does not advertise it into the IGP and it is not on a "
+                     "connected subnet",
+                 n.path());
       }
-    }
-    // Advertised by the peer's IGP process.
-    if (!resolvable) {
-      auto peer_igp = index.ospf_covered.find(peer);
-      if (peer_igp != index.ospf_covered.end()) {
-        for (const auto& network : peer_igp->second) {
-          if (auto p = Ipv4Prefix::parse(network); p && p->contains(*addr)) {
-            resolvable = true;
-            break;
-          }
-        }
-      }
-    }
-    if (!resolvable) {
-      out.emit(n.device,
-               "iBGP neighbor " + n.neighbor_ip + " (" + peer +
-                   ") is unresolvable: " + peer +
-                   " does not advertise it into the IGP and it is not on a "
-                   "connected subnet",
-               n.path());
     }
   }
 }
 
 void check_ebgp_adjacency(const RuleContext& ctx, Emitter& out) {
   const NidbIndex& index = *ctx.index;
-  for (const auto& n : index.neighbors) {
-    if (n.ibgp || n.multihop || n.neighbor_ip.empty()) continue;
-    auto owner = index.address_owner.find(n.neighbor_ip);
-    if (owner == index.address_owner.end()) continue;  // bgp-unknown-peer
-    auto addr = Ipv4Addr::parse(n.neighbor_ip);
-    if (!addr) continue;
-    bool adjacent = false;
-    for (const auto& iface : index.interfaces) {
-      if (iface.device != n.device) continue;
-      if (auto p = Ipv4Prefix::parse(iface.subnet); p && p->contains(*addr)) {
-        adjacent = true;
-        break;
+  for (const auto& own : index.devices) {
+    for (const auto& n : index.neighbors_of(own)) {
+      if (n.ibgp || n.multihop || n.neighbor_ip.empty()) continue;
+      if (n.peer == detail::kNoDevice) continue;  // bgp-unknown-peer
+      auto addr = Ipv4Addr::parse(n.neighbor_ip);
+      if (!addr) continue;
+      if (!index.attaches_subnet_containing(own, *addr)) {
+        out.emit(own.name,
+                 "eBGP neighbor " + n.neighbor_ip + " (" + index.devices[n.peer].name +
+                     ") is on no collision domain shared with " + own.name,
+                 n.path());
       }
-    }
-    if (!adjacent) {
-      out.emit(n.device,
-               "eBGP neighbor " + n.neighbor_ip + " (" + owner->second +
-                   ") is on no collision domain shared with " + n.device,
-               n.path());
     }
   }
 }

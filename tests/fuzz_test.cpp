@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -177,6 +178,24 @@ fuzz::Oracle poison_oracle() {
             }
             return fuzz::OracleResult::pass();
           }};
+}
+
+TEST(FuzzOracles, SameSeedScratchDirsAreDistinctAndIndependent) {
+  // Two same-seed campaigns (processes or threads) each get their own
+  // checkpoint directory: neither can delete the other's files.
+  std::optional<fuzz::ScratchDir> first(std::in_place, "incr", 7);
+  fuzz::ScratchDir second("incr", 7);
+  const std::string first_path = first->path();
+  EXPECT_NE(first_path, second.path());
+  EXPECT_NE(first_path.find("autonet-fuzz-incr-7-"), std::string::npos) << first_path;
+  EXPECT_TRUE(fs::is_directory(first_path));
+  EXPECT_TRUE(fs::is_empty(first_path));
+
+  std::ofstream(first_path + "/snapshot.json") << "{}";
+  std::ofstream(second.path() + "/snapshot.json") << "{}";
+  first.reset();
+  EXPECT_FALSE(fs::exists(first_path));
+  EXPECT_EQ(slurp(second.path() + "/snapshot.json"), "{}");
 }
 
 TEST(FuzzShrink, MinimizesInjectedBugToAtMostSixNodes) {

@@ -62,6 +62,41 @@ void add_ibgp(nidb::Nidb& nidb, const std::string& device,
       std::move(entry));
 }
 
+void add_ebgp(nidb::Nidb& nidb, const std::string& device,
+              const std::string& neighbor_ip, std::int64_t remote_as) {
+  nidb::Object entry;
+  entry["neighbor"] = neighbor_ip;
+  entry["remote_as"] = remote_as;
+  nidb.device(device)->data["bgp"]["ebgp_neighbors"].array().emplace_back(
+      std::move(entry));
+}
+
+void add_interface(nidb::Nidb& nidb, const std::string& device,
+                   const std::string& ip_with_len, const std::string& subnet) {
+  nidb::Object iface;
+  iface["ip_address"] = ip_with_len;
+  iface["subnet"] = subnet;
+  nidb.device(device)->data["interfaces"].array().emplace_back(std::move(iface));
+}
+
+void add_ospf_network(nidb::Nidb& nidb, const std::string& device,
+                      const std::string& network) {
+  nidb::Object link;
+  link["network"] = network;
+  link["area"] = std::int64_t{0};
+  nidb.device(device)->data["ospf"]["ospf_links"].array().emplace_back(
+      std::move(link));
+}
+
+std::vector<std::string> devices_flagged(const verify::Report& report,
+                                         std::string_view code) {
+  std::vector<std::string> devices;
+  for (const auto& f : report.findings) {
+    if (f.code == code) devices.push_back(f.device);
+  }
+  return devices;
+}
+
 // --- Registry & configuration ----------------------------------------------
 
 TEST(RuleRegistry, BuiltinCataloguesAllFamilies) {
@@ -324,6 +359,93 @@ TEST(Signaling, DetectsEbgpPeerWithoutSharedSubnet) {
   EXPECT_EQ(f->device, "r3");
 }
 
+// --- Per-device index edge cases ---------------------------------------------
+
+TEST(IndexedRules, ReverseStatementMatchesAnyAddressTheDeviceClaims) {
+  // c claims 10.0.0.1 too, as a duplicate of a's loopback, so the address
+  // resolves to a. b's one statement, to 10.0.0.1, still answers both a's
+  // and c's sessions: a reverse statement matches any address the device
+  // claims. d's session gets no answer from b at all.
+  nidb::Nidb nidb;
+  add_router(nidb, "a", 1, "10.0.0.1");
+  add_router(nidb, "b", 1, "10.0.0.2");
+  add_router(nidb, "c", 1, "10.0.0.3");
+  add_router(nidb, "d", 1, "10.0.0.4");
+  add_interface(nidb, "c", "10.0.0.1/24", "10.0.0.0/24");
+  add_ibgp(nidb, "a", "10.0.0.2", 1);
+  add_ibgp(nidb, "b", "10.0.0.1", 1);
+  add_ibgp(nidb, "c", "10.0.0.2", 1);
+  add_ibgp(nidb, "d", "10.0.0.2", 1);
+  auto report = verify::static_check(nidb);
+  EXPECT_EQ(devices_flagged(report, "dup-address"), std::vector<std::string>{"c"});
+  EXPECT_EQ(devices_flagged(report, "bgp-asym-session"),
+            std::vector<std::string>{"d"})
+      << report.to_string();
+}
+
+TEST(IndexedRules, IbgpLoopbackResolvesThroughPeerOspfCoverage) {
+  // Neither loopback sits on a connected subnet. b's OSPF covers its own
+  // loopback, so a's session to it resolves; a's OSPF does not cover
+  // a's loopback, so b's session does not.
+  nidb::Nidb nidb;
+  add_router(nidb, "a", 1, "10.0.0.1");
+  add_router(nidb, "b", 1, "10.0.0.2");
+  for (const char* device : {"a", "b"}) {
+    add_ospf_network(nidb, device, "192.168.0.0/30");
+  }
+  add_interface(nidb, "a", "192.168.0.1/30", "192.168.0.0/30");
+  add_interface(nidb, "b", "192.168.0.2/30", "192.168.0.0/30");
+  add_ospf_network(nidb, "b", "10.0.0.2/32");
+  add_ibgp(nidb, "a", "10.0.0.2", 1);
+  add_ibgp(nidb, "b", "10.0.0.1", 1);
+  auto report = verify::static_check(nidb);
+  EXPECT_EQ(devices_flagged(report, "ibgp-nexthop-unresolved"),
+            std::vector<std::string>{"b"})
+      << report.to_string();
+}
+
+TEST(IndexedRules, EmptyNeighborAddressIsOnlyAnUnknownPeer) {
+  nidb::Nidb nidb;
+  add_router(nidb, "a", 1, "10.0.0.1");
+  add_router(nidb, "b", 2, "10.0.0.2");
+  add_ospf_network(nidb, "a", "10.0.0.1/32");
+  add_ibgp(nidb, "a", "", 1);
+  add_ebgp(nidb, "a", "", 2);
+  auto report = verify::static_check(nidb);
+  EXPECT_EQ(devices_flagged(report, "bgp-unknown-peer"),
+            (std::vector<std::string>{"a", "a"}));
+  for (const char* code :
+       {"bgp-asym-session", "ibgp-nexthop-unresolved", "ebgp-peer-not-adjacent"}) {
+    EXPECT_TRUE(devices_flagged(report, code).empty()) << code << "\n"
+                                                       << report.to_string();
+  }
+}
+
+TEST(IndexedRules, UnparseableSubnetAttachesNothing) {
+  // a's only attached subnet does not parse: its eBGP peer b is on no
+  // collision domain a attaches to, while b's side still resolves. a
+  // still runs OSPF (over a network that does not parse either), so its
+  // iBGP session to c, whose loopback nothing covers, is unresolved.
+  nidb::Nidb nidb;
+  add_router(nidb, "a", 1, "10.0.0.1");
+  add_router(nidb, "b", 2, "10.0.0.2");
+  add_router(nidb, "c", 1, "10.0.0.3");
+  add_interface(nidb, "a", "192.168.0.1/30", "not-a-subnet");
+  add_interface(nidb, "b", "192.168.0.2/30", "192.168.0.0/30");
+  add_ospf_network(nidb, "a", "not-a-network");
+  add_ebgp(nidb, "a", "192.168.0.2", 2);
+  add_ebgp(nidb, "b", "192.168.0.1", 1);
+  add_ibgp(nidb, "a", "10.0.0.3", 1);
+  add_ibgp(nidb, "c", "10.0.0.1", 1);
+  auto report = verify::static_check(nidb);
+  EXPECT_EQ(devices_flagged(report, "ebgp-peer-not-adjacent"),
+            std::vector<std::string>{"a"})
+      << report.to_string();
+  EXPECT_EQ(devices_flagged(report, "ibgp-nexthop-unresolved"),
+            std::vector<std::string>{"a"})
+      << report.to_string();
+}
+
 TEST(Lint, AnycastStubPrefixesAreNotDuplicateAddresses) {
   // Multi-origin advertisement (the same prefix attached at two exits)
   // is a feature, not an addressing error: the stub interfaces share a
@@ -481,7 +603,7 @@ TEST(WorkflowGate, DisabledGateSkipsLint) {
   opts.lint.enabled = false;
   core::Workflow wf(opts);
   wf.run(conflicting_pair());
-  EXPECT_THROW(wf.lint_report(), std::logic_error);
+  EXPECT_THROW((void)wf.lint_report(), std::logic_error);
   EXPECT_FALSE(wf.timings().ms.contains("lint"));
 }
 

@@ -100,6 +100,10 @@ struct PlatformCase {
   bool expect_osc;  // bad-gadget oscillation expectation (§7.2)
 };
 
+// Without a printer gtest dumps the struct's raw bytes, pointer included, so
+// the ctest names gtest_discover_tests derives from them change on every run.
+void PrintTo(const PlatformCase& c, std::ostream* os) { *os << c.platform; }
+
 class PlatformMatrix : public ::testing::TestWithParam<PlatformCase> {};
 
 TEST_P(PlatformMatrix, SmallInternetConvergesAndValidates) {
