@@ -27,7 +27,7 @@ int main() {
   wf.run(topology::small_internet());
 
   const auto& dr = wf.deploy_result();
-  std::printf("deploy: success=%d degraded=%d transfers=%zu boots=%zu\n",
+  std::printf("deploy: success=%d degraded=%d transfers=%d boots=%d\n",
               dr.success, dr.degraded, dr.transfer_attempts, dr.boot_attempts);
   for (const auto& line : faults.injected()) {
     std::printf("  injected: %s\n", line.c_str());

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "anm/anm.hpp"
+#include "core/hash.hpp"
 #include "graph/graph.hpp"
 #include "nidb/value.hpp"
 #include "obs/event.hpp"
@@ -29,10 +30,6 @@ class CheckpointError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-/// FNV-1a 64-bit content hash (stable across platforms); the checkpoint
-/// manifest stores it per artifact so resume detects corruption.
-[[nodiscard]] std::uint64_t checkpoint_hash(std::string_view data);
 
 /// Writes `content` to `path` crash-consistently: a temp file in the
 /// same directory is written, flushed with fsync, then renamed over the
@@ -49,7 +46,7 @@ class CheckpointStore {
  public:
   struct PhaseRecord {
     std::string artifact;   // file name inside the directory
-    std::uint64_t hash = 0; // checkpoint_hash of the artifact content
+    std::uint64_t hash = 0; // fnv1a of the artifact content
     double ms = 0;          // the phase's span duration (restored timings)
     /// Flight-recorder event slice for the phase ("<phase>.events.jsonl";
     /// empty name = recorded before events existed). Replayed on restore

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/hash.hpp"
 #include "deploy/archive.hpp"
 #include "incremental/hot_apply.hpp"
 #include "nidb/value.hpp"
@@ -316,11 +317,11 @@ std::string Workflow::signature_text(bool include_deploy) const {
 }
 
 std::string Workflow::options_signature() const {
-  return std::to_string(checkpoint_hash(signature_text(true)));
+  return std::to_string(fnv1a(signature_text(true)));
 }
 
 std::string Workflow::build_signature() const {
-  return std::to_string(checkpoint_hash(signature_text(false)));
+  return std::to_string(fnv1a(signature_text(false)));
 }
 
 std::string Workflow::lint_signature() const {
@@ -334,7 +335,7 @@ std::string Workflow::lint_signature() const {
   for (const auto& [id, sev] : options_.lint.options.severity) {
     sig << ";S:" << id << "=" << static_cast<int>(sev);
   }
-  return std::to_string(checkpoint_hash(sig.str()));
+  return std::to_string(fnv1a(sig.str()));
 }
 
 incremental::DesignSpec Workflow::design_spec() const {
@@ -356,7 +357,7 @@ void Workflow::validate_checkpoint(const graph::Graph& input) {
   // The input signature is kept even without a store: run reports embed
   // it so two reports are comparable without the checkpoint directory.
   input_hash_ =
-      std::to_string(checkpoint_hash(graph_to_value(input).to_json(false)));
+      std::to_string(fnv1a(graph_to_value(input).to_json(false)));
   if (ckpt_ != nullptr) {
     const std::string& input_hash = input_hash_;
     const std::string options_sig = options_signature();
@@ -851,7 +852,7 @@ Workflow& Workflow::render() {
     cur_snap_.nidb_hash = verify::analysis::nidb_content_hash(*nidb_);
   }
   if (ckpt_ != nullptr || incr_partial_) {
-    cur_snap_.data_hash = incremental::fnv1a(nidb_->data().to_json(false));
+    cur_snap_.data_hash = fnv1a(nidb_->data().to_json(false));
   }
   if (try_restore("render")) {
     maybe_write_snapshot();

@@ -1,7 +1,5 @@
-// Hop-by-hop packet forwarding over the converged FIBs. traceroute
-// reports, per TTL, the address the probe's ICMP reply comes from — the
-// *incoming* interface of each transit router, exactly as the real Linux
-// traceroute binary the paper runs would see.
+// traceroute/ping over the converged FIBs: adapters from router names to
+// the shared index-based forwarding walk (emulation/forwarding.hpp).
 #include <stdexcept>
 
 #include "emulation/network.hpp"
@@ -10,61 +8,38 @@ namespace autonet::emulation {
 
 using addressing::Ipv4Addr;
 
-TracerouteResult EmulatedNetwork::traceroute(std::string_view src_router,
-                                             Ipv4Addr dst, int max_ttl) const {
-  const VirtualRouter* src = router(src_router);
-  if (src == nullptr) {
+Forwarding EmulatedNetwork::walk(std::string_view src_router, Ipv4Addr dst,
+                                 int max_ttl) const {
+  auto src = by_name_.find(src_router);
+  if (src == by_name_.end()) {
     throw std::invalid_argument("traceroute: unknown router " +
                                 std::string(src_router));
   }
   if (!started_) {
     throw std::logic_error("traceroute: network not started");
   }
+  const ForwardingPlane plane{
+      [this](std::size_t r) -> const std::vector<FibEntry>& {
+        return routers_[r].fib();
+      },
+      &by_address_,
+      [this](std::size_t r, Ipv4Addr addr) { return routers_[r].owns_address(addr); },
+      // A failed router neither sources probes nor answers them.
+      [this](std::size_t r) { return router_failed(r); }};
+  return forward(plane, src->second, dst, max_ttl);
+}
 
-  // A failed router neither sources probes nor answers them.
-  auto is_down = [this](const VirtualRouter* r) {
-    auto it = by_name_.find(r->name());
-    return it != by_name_.end() && router_failed(it->second);
-  };
-
+TracerouteResult EmulatedNetwork::traceroute(std::string_view src_router,
+                                             Ipv4Addr dst, int max_ttl) const {
+  const Forwarding walked = walk(src_router, dst, max_ttl);
   TracerouteResult result;
-  const VirtualRouter* current = src;
+  result.reached = walked.outcome == ForwardOutcome::kReached;
   double rtt = 0.0;
-  if (is_down(current)) return result;
-  if (current->owns_address(dst)) {
-    result.hops.push_back({dst, current->name(), 0.1});
-    result.reached = true;
-    return result;
-  }
-  for (int ttl = 0; ttl < max_ttl; ++ttl) {
-    const FibEntry* route = current->lookup(dst);
-    if (route == nullptr) return result;  // !N — network unreachable
+  for (const ForwardHop& hop : walked.hops) {
     rtt += 0.1;
-    const VirtualRouter* next = nullptr;
-    if (!route->next_hop) {
-      // On-link: deliver if some router owns dst on that subnet.
-      auto owner = owner_of(dst);
-      if (!owner) return result;
-      next = router(*owner);
-    } else {
-      auto owner = owner_of(*route->next_hop);
-      if (!owner) return result;
-      next = router(*owner);
-    }
-    if (is_down(next)) return result;  // dead node: probe goes unanswered
-    if (next->owns_address(dst)) {
-      // Destination hop: the reply comes from the probed address itself.
-      result.hops.push_back({dst, next->name(), rtt});
-      result.reached = true;
-      return result;
-    }
-    // Transit hop: the reply source is the address the packet arrived
-    // on — the next hop's interface address on the shared segment.
-    result.hops.push_back({route->next_hop ? *route->next_hop : dst,
-                           next->name(), rtt});
-    current = next;
+    result.hops.push_back({hop.address, routers_[hop.router].name(), rtt});
   }
-  return result;  // TTL exceeded (forwarding loop)
+  return result;
 }
 
 TracerouteResult EmulatedNetwork::traceroute(std::string_view src_router,
@@ -75,20 +50,16 @@ TracerouteResult EmulatedNetwork::traceroute(std::string_view src_router,
     throw std::invalid_argument("traceroute: unknown router " +
                                 std::string(dst_router));
   }
-  Ipv4Addr target;
-  if (dst->config().loopback) {
-    target = dst->config().loopback->address;
-  } else if (!dst->config().interfaces.empty()) {
-    target = dst->config().interfaces[0].address.address;
-  } else {
+  const auto target = probe_address(dst->config());
+  if (!target) {
     throw std::invalid_argument("traceroute: " + std::string(dst_router) +
                                 " has no addresses");
   }
-  return traceroute(src_router, target, max_ttl);
+  return traceroute(src_router, *target, max_ttl);
 }
 
 bool EmulatedNetwork::ping(std::string_view src_router, Ipv4Addr dst) const {
-  return traceroute(src_router, dst).reached;
+  return walk(src_router, dst).outcome == ForwardOutcome::kReached;
 }
 
 }  // namespace autonet::emulation

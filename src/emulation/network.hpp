@@ -16,6 +16,7 @@
 
 #include "core/cancel.hpp"
 #include "core/error.hpp"
+#include "emulation/forwarding.hpp"
 #include "emulation/router.hpp"
 #include "nidb/nidb.hpp"
 #include "render/config_tree.hpp"
@@ -189,6 +190,11 @@ class EmulatedNetwork {
   ConvergenceReport run_bgp(std::size_t max_rounds,
                             core::RunControl* control);  // bgp.cpp
   void install_bgp_routes();  // bgp.cpp
+
+  /// The shared forwarding walk from a named router (traceroute/ping).
+  [[nodiscard]] Forwarding walk(std::string_view src_router,
+                                addressing::Ipv4Addr dst,
+                                int max_ttl = 30) const;
 
   /// IGP metric from router r to address `addr`; infinity when unknown.
   [[nodiscard]] double igp_metric_to(std::size_t r, addressing::Ipv4Addr addr) const;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "emulation/forwarding.hpp"
+
 namespace autonet::emulation {
 
 using addressing::Ipv4Addr;
@@ -45,26 +47,7 @@ bool VirtualRouter::owns_address(Ipv4Addr addr) const {
 }
 
 const FibEntry* VirtualRouter::lookup(Ipv4Addr dst) const {
-  const FibEntry* best = nullptr;
-  for (const auto& entry : fib_) {
-    if (!entry.prefix.contains(dst)) continue;
-    if (best == nullptr) {
-      best = &entry;
-      continue;
-    }
-    if (entry.prefix.length() != best->prefix.length()) {
-      if (entry.prefix.length() > best->prefix.length()) best = &entry;
-      continue;
-    }
-    const int ad_new = admin_distance(entry.source);
-    const int ad_best = admin_distance(best->source);
-    if (ad_new != ad_best) {
-      if (ad_new < ad_best) best = &entry;
-      continue;
-    }
-    if (entry.metric < best->metric) best = &entry;
-  }
-  return best;
+  return emulation::lookup(fib_, dst);
 }
 
 }  // namespace autonet::emulation

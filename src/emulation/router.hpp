@@ -86,8 +86,7 @@ class VirtualRouter {
   // --- FIB --------------------------------------------------------------
   [[nodiscard]] const std::vector<FibEntry>& fib() const { return fib_; }
   std::vector<FibEntry>& mutable_fib() { return fib_; }
-  /// Longest-prefix match (ties: lowest admin distance, then metric);
-  /// nullptr when no route covers `dst`.
+  /// emulation::lookup (forwarding.hpp) over this router's FIB.
   [[nodiscard]] const FibEntry* lookup(addressing::Ipv4Addr dst) const;
 
   // --- OSPF state -------------------------------------------------------

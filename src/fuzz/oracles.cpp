@@ -1,15 +1,12 @@
 #include "fuzz/oracles.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <exception>
-#include <filesystem>
 #include <memory>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "core/cancel.hpp"
+#include "core/temp_dir.hpp"
 #include "core/workflow.hpp"
 #include "emulation/config_parse.hpp"
 #include "fuzz/rng.hpp"
@@ -25,8 +22,6 @@
 namespace autonet::fuzz {
 
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Workflow options for a scenario: its platform and iBGP mode, lint gate
 /// kept non-fatal — a generated topology with lint findings is a valid
@@ -84,7 +79,7 @@ OracleResult run_incr_equivalence(const Scenario& s) {
       apply_any_mutation(mutated, mix(s.seed, fnv1a("autonet.fuzz.incr")));
   if (tag.empty()) return OracleResult::skip("no applicable mutation");
 
-  ScratchDir base("incr", s.seed);
+  const core::TempDir base("autonet-fuzz-incr-" + std::to_string(s.seed));
 
   // Baseline build, checkpointed (produces snapshot.json for the delta
   // engine).
@@ -166,7 +161,7 @@ OracleResult run_ckpt_resume(const Scenario& s) {
   const std::string kill_at =
       boundaries[mix(s.seed, fnv1a("autonet.fuzz.kill")) % boundaries.size()];
 
-  ScratchDir ckpt("ckpt", s.seed);
+  const core::TempDir ckpt("autonet-fuzz-ckpt-" + std::to_string(s.seed));
   {
     auto registry = virtual_registry();
     obs::RegistryScope scope(*registry);
@@ -452,24 +447,6 @@ const Oracle* find_oracle(std::string_view name) {
     if (oracle.name == name) return &oracle;
   }
   return nullptr;
-}
-
-ScratchDir::ScratchDir(const std::string& purpose, std::uint64_t seed) {
-  std::string pattern = (fs::temp_directory_path() /
-                         ("autonet-fuzz-" + purpose + "-" + std::to_string(seed) +
-                          "-XXXXXX"))
-                            .string();
-  if (::mkdtemp(pattern.data()) == nullptr) {
-    const int error = errno;
-    throw std::system_error(error, std::generic_category(),
-                            "cannot create scratch directory " + pattern);
-  }
-  path_ = std::move(pattern);
-}
-
-ScratchDir::~ScratchDir() {
-  std::error_code ec;
-  fs::remove_all(path_, ec);
 }
 
 }  // namespace autonet::fuzz

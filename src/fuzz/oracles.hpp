@@ -52,22 +52,4 @@ struct Oracle {
 /// Lookup by name; nullptr when unknown.
 [[nodiscard]] const Oracle* find_oracle(std::string_view name);
 
-/// An empty directory under the system temp root, named
-/// `autonet-fuzz-<purpose>-<seed>-XXXXXX` and unique per construction
-/// (mkdtemp), so concurrent same-seed campaigns never share one. Removed
-/// with its contents on destruction. Throws std::system_error when the
-/// directory cannot be created.
-class ScratchDir {
- public:
-  ScratchDir(const std::string& purpose, std::uint64_t seed);
-  ~ScratchDir();
-  ScratchDir(const ScratchDir&) = delete;
-  ScratchDir& operator=(const ScratchDir&) = delete;
-
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 }  // namespace autonet::fuzz

@@ -9,32 +9,22 @@
 #include <cstdint>
 #include <string_view>
 
+#include "core/hash.hpp"
+
 namespace autonet::fuzz {
 
-/// FNV-1a 64 over a byte string; the same hash the checkpoint and
-/// incremental layers use for content addressing.
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using core::fnv1a;
 
-/// Mixes two 64-bit values into one (FNV-style fold); used to derive
-/// per-run seeds from the campaign seed and the run index.
+/// Mixes two 64-bit values into one: FNV-1a over their little-endian
+/// bytes, `a` first. Derives per-run seeds from the campaign seed and the
+/// run index.
 [[nodiscard]] constexpr std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  char bytes[16] = {};
   for (int i = 0; i < 8; ++i) {
-    h ^= (a >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
+    bytes[i] = static_cast<char>((a >> (i * 8)) & 0xff);
+    bytes[8 + i] = static_cast<char>((b >> (i * 8)) & 0xff);
   }
-  for (int i = 0; i < 8; ++i) {
-    h ^= (b >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return fnv1a(std::string_view(bytes, sizeof bytes));
 }
 
 /// splitmix64: tiny, fast, and fully specified. Good enough statistical

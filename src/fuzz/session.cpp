@@ -1,7 +1,6 @@
 #include "fuzz/session.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/json.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/rng.hpp"
 #include "obs/registry.hpp"
@@ -24,19 +24,27 @@ namespace fs = std::filesystem;
 /// The campaign identity line: a journal belongs to exactly one
 /// (seed, runs, max_nodes, oracle) tuple; anything else starts fresh.
 std::string campaign_header(const FuzzOptions& options) {
-  return "{\"campaign\":{\"seed\":" + std::to_string(options.seed) +
-         ",\"runs\":" + std::to_string(options.runs) +
-         ",\"max_nodes\":" + std::to_string(options.max_nodes) +
-         ",\"oracle\":\"" + json_escape(options.oracle) + "\"}}";
+  std::string out = "{\"campaign\":{\"seed\":" + std::to_string(options.seed) +
+                    ",\"runs\":" + std::to_string(options.runs) +
+                    ",\"max_nodes\":" + std::to_string(options.max_nodes) +
+                    ",\"oracle\":";
+  core::append_json_string(out, options.oracle);
+  out += "}}";
+  return out;
 }
 
 std::string record_line(const FuzzRunRecord& r) {
-  return "{\"run\":" + std::to_string(r.run) +
-         ",\"seed\":" + std::to_string(r.seed) + ",\"oracle\":\"" +
-         json_escape(r.oracle) + "\",\"scenario\":\"" +
-         json_escape(r.scenario) + "\",\"status\":\"" + r.status +
-         "\",\"detail\":\"" + json_escape(r.detail) + "\",\"corpus\":\"" +
-         json_escape(r.corpus_path) + "\"}";
+  std::string out = "{\"run\":" + std::to_string(r.run) +
+                    ",\"seed\":" + std::to_string(r.seed) + ",\"oracle\":";
+  core::append_json_string(out, r.oracle);
+  out += ",\"scenario\":";
+  core::append_json_string(out, r.scenario);
+  out += ",\"status\":\"" + r.status + "\",\"detail\":";
+  core::append_json_string(out, r.detail);
+  out += ",\"corpus\":";
+  core::append_json_string(out, r.corpus_path);
+  out += '}';
+  return out;
 }
 
 /// Minimal field extraction from our own journal lines (the writer and
@@ -52,6 +60,8 @@ std::string extract_string(const std::string& line, const std::string& key) {
       const char esc = line[++i];
       if (esc == 'n') {
         out += '\n';
+      } else if (esc == 'r') {
+        out += '\r';
       } else if (esc == 't') {
         out += '\t';
       } else {
@@ -94,36 +104,6 @@ std::vector<const Oracle*> enabled_oracles(const FuzzOptions& options) {
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 OracleResult replay_scenario(const Scenario& s, const Oracle& oracle) {
   return oracle.run(s);

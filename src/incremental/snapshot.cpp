@@ -3,18 +3,10 @@
 #include <algorithm>
 #include <functional>
 
+#include "core/hash.hpp"
 #include "nidb/value.hpp"
 
 namespace autonet::incremental {
-
-std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::vector<std::string> DesignSpec::rule_order() const {
   std::vector<std::string> order{"ospf"};
@@ -195,7 +187,7 @@ std::map<std::string, std::uint64_t> rule_projections(
     } else if (rule == "rpki") {
       proj += all_nodes + serialize_edges(phy, nullptr, true);
     }
-    out[rule] = fnv1a(proj);
+    out[rule] = core::fnv1a(proj);
   }
   return out;
 }
@@ -220,7 +212,7 @@ DeviceSignatures device_signatures(const anm::AbstractNetworkModel& anm,
       global += serialize_graph(g);
     }
   }
-  out.global_digest = fnv1a(global);
+  out.global_digest = core::fnv1a(global);
 
   const bool has_ip = anm.has_overlay("ip");
   for (NodeId d : phy.nodes()) {
@@ -287,7 +279,7 @@ DeviceSignatures device_signatures(const anm::AbstractNetworkModel& anm,
         sig += '\n';
       }
     }
-    out.sigs[device] = fnv1a(sig);
+    out.sigs[device] = core::fnv1a(sig);
   }
   return out;
 }
@@ -303,7 +295,7 @@ std::map<std::string, std::uint64_t> template_base_hashes(
       acc += entry.static_content;
       acc += '\n';
     }
-    out[base] = fnv1a(acc);
+    out[base] = core::fnv1a(acc);
   }
   return out;
 }

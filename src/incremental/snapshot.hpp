@@ -1,8 +1,8 @@
 // Content-addressed snapshots of the pipeline's inputs: per-design-rule
 // projection hashes over the post-load ANM, per-device neighborhood
 // signatures over the designed ANM, and per-template-base version
-// hashes — all FNV-1a 64, byte-compatible with core::checkpoint_hash and
-// the analysis FibCache keys. Two snapshots diff into a minimal
+// hashes — all core::fnv1a, the hash the checkpoint manifest and the
+// analysis FibCache keys use. Two snapshots diff into a minimal
 // recompute plan (see plan.hpp): a design rule whose projection hash is
 // unchanged re-reads nothing it has not already read, so its baseline
 // overlay can be copied; a device whose signature is unchanged compiles
@@ -29,10 +29,6 @@
 #include "render/renderer.hpp"
 
 namespace autonet::incremental {
-
-/// FNV-1a 64-bit, restated (autonet_core depends on this library, not
-/// the other way round) — the same scheme as core::checkpoint_hash.
-[[nodiscard]] std::uint64_t fnv1a(std::string_view data);
 
 /// What the design phase is about to run, as snapshot input. Mirrors the
 /// design-relevant subset of core::WorkflowOptions without depending on

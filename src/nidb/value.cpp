@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/json.hpp"
+
 namespace autonet::nidb {
 
 Value Value::from_attr(const graph::AttrValue& attr) {
@@ -170,28 +172,6 @@ std::string format_double(double v) {
   return buf;
 }
 
-void escape_json_to(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 }  // namespace
 
 std::string Value::to_display() const {
@@ -233,7 +213,7 @@ void Value::json_to(std::string& out, bool pretty, int depth) const {
     void operator()(bool v) const { out += v ? "true" : "false"; }
     void operator()(std::int64_t v) const { out += std::to_string(v); }
     void operator()(double v) const { out += format_double(v); }
-    void operator()(const std::string& v) const { escape_json_to(out, v); }
+    void operator()(const std::string& v) const { core::append_json_string(out, v); }
     void operator()(const std::shared_ptr<Array>& v) const {
       out += '[';
       bool follower = false;
@@ -253,7 +233,7 @@ void Value::json_to(std::string& out, bool pretty, int depth) const {
         if (follower) out += pretty ? "," : ", ";
         follower = true;
         ind(depth + 1);
-        escape_json_to(out, key);
+        core::append_json_string(out, key);
         out += ": ";
         item.json_to(out, pretty, depth + 1);
       }

@@ -1,7 +1,8 @@
 #include "obs/export.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "core/json.hpp"
 
 namespace autonet::obs {
 
@@ -65,37 +66,14 @@ std::string prometheus_help(std::string_view name) {
 
 void append_event_object(std::ostringstream& out, const LogEvent& event) {
   out << "{\"ts_us\":" << event.ts_us << ",\"kind\":\""
-      << json_escape(event.kind) << "\"";
+      << core::json_escape(event.kind) << "\"";
   for (const auto& [key, value] : event.fields) {
-    out << ",\"" << json_escape(key) << "\":\"" << json_escape(value) << "\"";
+    out << ",\"" << core::json_escape(key) << "\":\"" << core::json_escape(value) << "\"";
   }
   out << "}";
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string to_chrome_trace(const Registry& registry) {
   std::ostringstream out;
@@ -104,12 +82,12 @@ std::string to_chrome_trace(const Registry& registry) {
   for (const TraceEvent& e : registry.trace_events()) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << json_escape(e.name)
+    out << "{\"name\":\"" << core::json_escape(e.name)
         << "\",\"cat\":\"autonet\",\"ph\":\"X\",\"ts\":" << e.start_us
         << ",\"dur\":" << e.dur_us << ",\"pid\":1,\"tid\":1,\"args\":{"
         << "\"depth\":" << e.depth;
     for (const auto& [key, value] : e.args) {
-      out << ",\"" << json_escape(key) << "\":\"" << json_escape(value) << "\"";
+      out << ",\"" << core::json_escape(key) << "\":\"" << core::json_escape(value) << "\"";
     }
     out << "}}";
   }

@@ -34,7 +34,4 @@ namespace autonet::obs {
 /// the bench harness for BENCH_<name>.json).
 [[nodiscard]] std::string events_to_json(const Registry& registry);
 
-/// JSON string escaping, shared by the exporters and the bench harness.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 }  // namespace autonet::obs

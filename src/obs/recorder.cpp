@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/export.hpp"
+#include "core/json.hpp"
 #include "obs/registry.hpp"
 
 namespace autonet::obs {
@@ -129,12 +129,16 @@ void record(std::string category, Severity severity, std::string name,
 }
 
 std::string event_to_json(const RecorderEvent& event) {
-  std::string out = "{\"ts_us\":" + std::to_string(event.ts_us);
-  out += ",\"phase\":\"" + json_escape(event.phase) + "\"";
-  out += ",\"category\":\"" + json_escape(event.category) + "\"";
+  std::string out = "{\"ts_us\":";
+  out += std::to_string(event.ts_us);
+  out += ",\"phase\":";
+  core::append_json_string(out, event.phase);
+  out += ",\"category\":";
+  core::append_json_string(out, event.category);
   out += ",\"severity\":\"";
   out += severity_label(event.severity);
-  out += "\",\"name\":\"" + json_escape(event.name) + "\"";
+  out += "\",\"name\":";
+  core::append_json_string(out, event.name);
   out += ",\"fields\":{";
   Fields sorted = event.fields;
   std::stable_sort(sorted.begin(), sorted.end(),
@@ -143,7 +147,9 @@ std::string event_to_json(const RecorderEvent& event) {
   for (const auto& [key, value] : sorted) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(key) + "\":\"" + json_escape(value) + "\"";
+    core::append_json_string(out, key);
+    out += ':';
+    core::append_json_string(out, value);
   }
   out += "}}";
   return out;

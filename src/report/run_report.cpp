@@ -10,8 +10,8 @@
 #include <stdexcept>
 
 #include "core/checkpoint.hpp"
+#include "core/json.hpp"
 #include "core/workflow.hpp"
-#include "obs/export.hpp"
 #include "obs/recorder.hpp"
 #include "verify/analysis/cache.hpp"
 
@@ -197,8 +197,8 @@ std::string run_report_json(core::Workflow& wf) {
   out << "{\n";
   out << "  \"version\": 1,\n";
   out << "  \"status\": \"" << status << "\",\n";
-  out << "  \"input_hash\": \"" << obs::json_escape(wf.input_hash()) << "\",\n";
-  out << "  \"options_signature\": \"" << obs::json_escape(wf.options_signature())
+  out << "  \"input_hash\": \"" << core::json_escape(wf.input_hash()) << "\",\n";
+  out << "  \"options_signature\": \"" << core::json_escape(wf.options_signature())
       << "\",\n";
   // The compiled NIDB's content hash: lets two reports assert "same
   // design" (the incremental equivalence contract) without the artifact
@@ -226,7 +226,7 @@ std::string run_report_json(core::Workflow& wf) {
   for (const auto& [name, value] : metrics) {
     if (!first) out << ",";
     first = false;
-    out << "\n    \"" << obs::json_escape(name)
+    out << "\n    \"" << core::json_escape(name)
         << "\": " << fmt_metric(snap_metric(value));
   }
   out << (first ? "}," : "\n  },") << "\n";
@@ -243,7 +243,7 @@ std::string run_report_json(core::Workflow& wf) {
   for (const auto& [category, count] : by_category) {
     if (!first) out << ",";
     first = false;
-    out << "\n    \"" << obs::json_escape(category) << "\": " << count;
+    out << "\n    \"" << core::json_escape(category) << "\": " << count;
   }
   out << (first ? "}," : "\n  },") << "\n";
 

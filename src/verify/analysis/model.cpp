@@ -6,6 +6,7 @@
 #include <queue>
 #include <utility>
 
+#include "emulation/forwarding.hpp"
 #include "nidb/value.hpp"
 
 namespace autonet::verify::analysis {
@@ -807,7 +808,7 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
         }
       }
       if (!resolved) {
-        const FibEntry* via = lookup(fib, route.next_hop);
+        const FibEntry* via = emulation::lookup(fib, route.next_hop);
         if (via != nullptr && via->source != RouteSource::kEbgp &&
             via->source != RouteSource::kIbgp) {
           out_interface = via->out_interface;
@@ -825,66 +826,32 @@ Prediction predict(const Model& model, const std::set<Ipv4Prefix>& failed_subnet
   return out;
 }
 
-const FibEntry* lookup(const std::vector<FibEntry>& fib, Ipv4Addr dst) {
-  const FibEntry* best = nullptr;
-  for (const auto& entry : fib) {
-    if (!entry.prefix.contains(dst)) continue;
-    if (best == nullptr) {
-      best = &entry;
-      continue;
-    }
-    if (entry.prefix.length() != best->prefix.length()) {
-      if (entry.prefix.length() > best->prefix.length()) best = &entry;
-      continue;
-    }
-    const int ad_new = emulation::admin_distance(entry.source);
-    const int ad_best = emulation::admin_distance(best->source);
-    if (ad_new != ad_best) {
-      if (ad_new < ad_best) best = &entry;
-      continue;
-    }
-    if (entry.metric < best->metric) best = &entry;
-  }
-  return best;
-}
-
 Path trace(const Model& model, const Prediction& prediction,
            std::string_view src_router, Ipv4Addr dst, int max_ttl) {
   Path path;
-  auto current = model.index_of(src_router);
-  if (!current) {
+  auto src = model.index_of(src_router);
+  if (!src) {
     path.dropped_at = std::string(src_router);
     return path;
   }
   const auto& routers = model.routers();
-  if (owns_address(routers[*current], dst)) {
-    path.hops.push_back({dst, routers[*current].hostname});
-    path.reached = true;
-    return path;
+  const emulation::ForwardingPlane plane{
+      [&prediction](std::size_t r) -> const std::vector<FibEntry>& {
+        return prediction.fibs[r];
+      },
+      &model.by_address(),
+      [&routers](std::size_t r, Ipv4Addr addr) { return owns_address(routers[r], addr); },
+      {}};
+  const emulation::Forwarding walked = emulation::forward(plane, *src, dst, max_ttl);
+  path.reached = walked.outcome == emulation::ForwardOutcome::kReached;
+  path.looped = walked.outcome == emulation::ForwardOutcome::kTtlExceeded;
+  if (walked.outcome == emulation::ForwardOutcome::kDropped) {
+    path.dropped_at = routers[walked.dropped_at].hostname;
   }
-  for (int ttl = 0; ttl < max_ttl; ++ttl) {
-    const FibEntry* route = lookup(prediction.fibs[*current], dst);
-    if (route == nullptr) {
-      path.dropped_at = routers[*current].hostname;
-      return path;
-    }
-    std::optional<std::size_t> next;
-    const Ipv4Addr hop_target = route->next_hop ? *route->next_hop : dst;
-    auto owner = model.by_address().find(hop_target.value());
-    if (owner != model.by_address().end()) next = owner->second;
-    if (!next) {
-      path.dropped_at = routers[*current].hostname;
-      return path;
-    }
-    if (owns_address(routers[*next], dst)) {
-      path.hops.push_back({dst, routers[*next].hostname});
-      path.reached = true;
-      return path;
-    }
-    path.hops.push_back({hop_target, routers[*next].hostname});
-    current = next;
+  path.hops.reserve(walked.hops.size());
+  for (const emulation::ForwardHop& hop : walked.hops) {
+    path.hops.push_back({hop.address, routers[hop.router].hostname});
   }
-  path.looped = true;  // TTL exceeded: forwarding cycle
   return path;
 }
 
@@ -892,21 +859,13 @@ Path trace_to_router(const Model& model, const Prediction& prediction,
                      std::string_view src_router, std::string_view dst_router,
                      int max_ttl) {
   const RouterConfig* dst = model.router(dst_router);
-  Path path;
-  if (dst == nullptr) {
+  const auto target = dst == nullptr ? std::nullopt : emulation::probe_address(*dst);
+  if (!target) {
+    Path path;
     path.dropped_at = std::string(src_router);
     return path;
   }
-  Ipv4Addr target;
-  if (dst->loopback) {
-    target = dst->loopback->address;
-  } else if (!dst->interfaces.empty()) {
-    target = dst->interfaces[0].address.address;
-  } else {
-    path.dropped_at = std::string(src_router);
-    return path;
-  }
-  return trace(model, prediction, src_router, target, max_ttl);
+  return trace(model, prediction, src_router, *target, max_ttl);
 }
 
 std::vector<std::string> router_sequence(std::string_view src, const Path& path) {

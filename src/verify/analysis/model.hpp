@@ -79,21 +79,17 @@ struct Prediction {
                                  const std::set<addressing::Ipv4Prefix>& failed_subnets = {},
                                  std::size_t max_bgp_rounds = 128);
 
-/// Longest-prefix match over one predicted FIB (ties: lowest admin
-/// distance, then metric) — VirtualRouter::lookup over a plain vector.
-[[nodiscard]] const emulation::FibEntry* lookup(
-    const std::vector<emulation::FibEntry>& fib, addressing::Ipv4Addr dst);
-
 struct PathHop {
   addressing::Ipv4Addr address;
   std::string router;
 };
 
-/// A predicted forwarding path, hop semantics identical to the
-/// emulation's traceroute.
+/// A predicted forwarding path. The walk is the emulation's own
+/// (emulation::forward), so hops mean exactly what traceroute reports.
 struct Path {
   bool reached = false;
-  /// TTL exhausted: the predicted FIBs forward in a cycle.
+  /// TTL exhausted: the predicted FIBs forward in a cycle, or along a
+  /// loop-free path longer than the TTL (router_sequence tells which).
   bool looped = false;
   /// Router whose FIB dropped the packet when !reached && !looped; equal
   /// to the source router when the source itself had no route.
@@ -106,7 +102,7 @@ struct Path {
                          std::string_view src_router, addressing::Ipv4Addr dst,
                          int max_ttl = 30);
 
-/// Traces to a router's loopback (first interface when it has none).
+/// Traces to a router's probe address (emulation::probe_address).
 [[nodiscard]] Path trace_to_router(const Model& model, const Prediction& prediction,
                                    std::string_view src_router,
                                    std::string_view dst_router, int max_ttl = 30);

@@ -218,6 +218,24 @@ nidb::Nidb chain_fixture() {
   return nidb;
 }
 
+/// OSPF chain r00 - r01 - ... of `n` routers: every path is loop-free,
+/// and the ends are n - 1 hops apart.
+nidb::Nidb long_chain_fixture(int n) {
+  nidb::Nidb nidb;
+  std::vector<nidb::DeviceRecord*> routers;
+  for (int i = 0; i < n; ++i) {
+    const std::string index = (i < 10 ? "0" : "") + std::to_string(i);
+    routers.push_back(&add_router(nidb, "r" + index, "10.0.0." + std::to_string(i + 1)));
+  }
+  for (int i = 0; i + 1 < n; ++i) {
+    const std::string net = "10.1." + std::to_string(i) + ".";
+    add_iface(*routers[i], "eth1", net + "1", 30, net + "0/30");
+    add_iface(*routers[i + 1], "eth0", net + "2", 30, net + "0/30");
+  }
+  for (auto* rec : routers) add_ospf(*rec, "10.0.0.0/8");
+  return nidb;
+}
+
 verify::Report analyze(const nidb::Nidb& nidb, verify::LintOptions opts = {}) {
   verify::LintInput input;
   input.nidb = &nidb;
@@ -306,6 +324,26 @@ TEST(AnalysisRules, DetectsForwardingLoop) {
   EXPECT_EQ(f->severity, Severity::kError);
   EXPECT_NE(f->message.find("c1"), std::string::npos);
   EXPECT_NE(f->message.find("c2"), std::string::npos);
+}
+
+TEST(AnalysisRules, ForwardingLoopIgnoresLoopFreePathsBeyondTheTtl) {
+  // The ends of a 33-router chain are 32 hops apart: the walk runs out of
+  // TTL (Path::looped) like a cycle does, but visits no router twice, so
+  // forwarding-loop stays silent — the NREN pairs beyond the probe TTL.
+  const nidb::Nidb nidb = long_chain_fixture(33);
+  const Workspace ws(nidb);
+  const Path path =
+      verify::analysis::trace_to_router(ws.model(), *ws.baseline(), "r00", "r32");
+  EXPECT_FALSE(path.reached);
+  EXPECT_TRUE(path.looped);
+  const auto sequence = verify::analysis::router_sequence("r00", path);
+  EXPECT_EQ(sequence.size(), 31u);
+  EXPECT_EQ(std::set<std::string>(sequence.begin(), sequence.end()).size(),
+            sequence.size());
+  EXPECT_TRUE(verify::analysis::trace_to_router(ws.model(), *ws.baseline(), "r00", "r30")
+                  .reached);
+  const verify::Report report = analyze(nidb);
+  EXPECT_EQ(find_code(report, "forwarding-loop"), nullptr) << report.to_string();
 }
 
 TEST(AnalysisRules, DetectsAsymmetricPaths) {

@@ -17,6 +17,7 @@
 
 #include "core/cancel.hpp"
 #include "core/checkpoint.hpp"
+#include "core/temp_dir.hpp"
 #include "core/workflow.hpp"
 #include "experiment/aggregate.hpp"
 #include "experiment/campaign.hpp"
@@ -38,12 +39,6 @@ std::uint64_t counter_value(obs::Registry& registry, const std::string& name) {
     if (key == name) return value;
   }
   return 0;
-}
-
-std::string temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / name;
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 /// Everything the pipeline produces, serialized for byte comparison.
@@ -131,7 +126,8 @@ TEST(ChaosResume, KillAtEveryPhaseBoundaryThenResumeByteIdentical) {
 
   for (std::size_t kill = 0; kill < std::size(kPipeline); ++kill) {
     const std::string phase = kPipeline[kill];
-    const std::string dir = temp_dir("autonet_chaos_phase_" + phase);
+    const core::TempDir tmp("autonet_chaos_phase_" + phase);
+    const std::string& dir = tmp.path();
 
     // Crash: the trip lands at the phase boundary, before the phase ran.
     ASSERT_TRUE(run_until_trip(dir, "phase." + phase)) << phase;
@@ -160,7 +156,6 @@ TEST(ChaosResume, KillAtEveryPhaseBoundaryThenResumeByteIdentical) {
         << phase;
 
     expect_identical(capture(wf), reference, "killed at phase." + phase);
-    fs::remove_all(dir);
   }
 }
 
@@ -189,9 +184,8 @@ TEST(ChaosResume, KillAtEverySubPhaseBoundaryThenResumeByteIdentical) {
   ASSERT_GT(boundaries.size(), 20u);  // phases + rules + devices + rounds
 
   for (const std::string& where : boundaries) {
-    const std::string dir =
-        temp_dir("autonet_chaos_sub_" +
-                 std::to_string(core::checkpoint_hash(where) % 1000000));
+    const core::TempDir tmp("autonet_chaos_sub");
+    const std::string& dir = tmp.path();
     ASSERT_TRUE(run_until_trip(dir, where)) << where;
 
     obs::Registry registry(std::make_unique<obs::VirtualClock>());
@@ -202,7 +196,6 @@ TEST(ChaosResume, KillAtEverySubPhaseBoundaryThenResumeByteIdentical) {
     wf.run(topology::figure5());
     wf.measure();
     expect_identical(capture(wf), reference, "killed at " + where);
-    fs::remove_all(dir);
   }
 }
 
@@ -210,7 +203,8 @@ TEST(ChaosResume, KillAtEverySubPhaseBoundaryThenResumeByteIdentical) {
 
 TEST(ChaosResume, SurvivesACrashDuringResume) {
   const FinalState reference = reference_state();
-  const std::string dir = temp_dir("autonet_chaos_double");
+  const core::TempDir tmp("autonet_chaos_double");
+  const std::string& dir = tmp.path();
 
   // First crash early (before render), second crash later (at deploy)
   // during the resumed run, then a clean third run.
@@ -231,13 +225,13 @@ TEST(ChaosResume, SurvivesACrashDuringResume) {
             (std::vector<std::string>{"load", "design", "compile", "render",
                                       "lint"}));
   expect_identical(capture(wf), reference, "double crash");
-  fs::remove_all(dir);
 }
 
 // --- Checkpoint validity: changed input or options voids the store --------
 
 TEST(ChaosResume, ChangedInputDiscardsTheCheckpoint) {
-  const std::string dir = temp_dir("autonet_chaos_input_change");
+  const core::TempDir tmp("autonet_chaos_input_change");
+  const std::string& dir = tmp.path();
   ASSERT_TRUE(run_until_trip(dir, "phase.deploy"));
   ASSERT_FALSE(core::CheckpointStore(dir).phases().empty());
 
@@ -250,11 +244,11 @@ TEST(ChaosResume, ChangedInputDiscardsTheCheckpoint) {
   wf.run(topology::small_internet());
   EXPECT_TRUE(wf.restored_phases().empty());
   EXPECT_EQ(counter_value(registry, "ckpt.resume"), 0u);
-  fs::remove_all(dir);
 }
 
 TEST(ChaosResume, ChangedOptionsDiscardTheCheckpoint) {
-  const std::string dir = temp_dir("autonet_chaos_options_change");
+  const core::TempDir tmp("autonet_chaos_options_change");
+  const std::string& dir = tmp.path();
   ASSERT_TRUE(run_until_trip(dir, "phase.deploy"));
 
   obs::Registry registry(std::make_unique<obs::VirtualClock>());
@@ -266,14 +260,14 @@ TEST(ChaosResume, ChangedOptionsDiscardTheCheckpoint) {
   wf.checkpoint_to(dir);
   wf.run(topology::figure5());
   EXPECT_TRUE(wf.restored_phases().empty());
-  fs::remove_all(dir);
 }
 
 // --- Corrupt checkpoint artifacts fall back to fresh execution ------------
 
 TEST(ChaosResume, CorruptMidPrefixArtifactReexecutesFromThere) {
   const FinalState reference = reference_state();
-  const std::string dir = temp_dir("autonet_chaos_corrupt");
+  const core::TempDir tmp("autonet_chaos_corrupt");
+  const std::string& dir = tmp.path();
   ASSERT_TRUE(run_until_trip(dir, "phase.deploy"));
 
   {
@@ -292,7 +286,6 @@ TEST(ChaosResume, CorruptMidPrefixArtifactReexecutesFromThere) {
   wf.measure();
   EXPECT_EQ(wf.restored_phases(), (std::vector<std::string>{"load"}));
   expect_identical(capture(wf), reference, "corrupt design artifact");
-  fs::remove_all(dir);
 }
 
 // --- Campaign-scale chaos: a 3-axis matrix killed over and over -----------
@@ -317,8 +310,9 @@ TEST(ChaosCampaign, RepeatedKillsConvergeToTheUndisturbedAggregate) {
   const std::string reference_csv =
       experiment::to_csv(experiment::aggregate(undisturbed.results));
 
-  const std::string out = temp_dir("autonet_chaos_campaign");
-  fs::create_directories(out);
+  const core::TempDir out_tmp("autonet_chaos_campaign");
+
+  const std::string& out = out_tmp.path();
   experiment::RunnerOptions opts;
   opts.journal_path = out + "/journal.jsonl";
   opts.checkpoint_dir = out + "/checkpoints";
@@ -365,7 +359,6 @@ TEST(ChaosCampaign, RepeatedKillsConvergeToTheUndisturbedAggregate) {
   // Every checkpoint pointer was spent by a completed result.
   experiment::Journal journal(opts.journal_path);
   EXPECT_TRUE(journal.load_checkpoints().empty());
-  fs::remove_all(out);
 }
 
 }  // namespace

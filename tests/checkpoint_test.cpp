@@ -9,9 +9,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/temp_dir.hpp"
 #include "core/workflow.hpp"
 #include "experiment/journal.hpp"
 #include "graph/graph.hpp"
@@ -22,12 +24,6 @@ namespace {
 
 using namespace autonet;
 namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / name;
-  fs::remove_all(dir);
-  return dir.string();
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
@@ -46,17 +42,21 @@ std::uint64_t counter_value(obs::Registry& registry, const std::string& name) {
 // --- Primitives -----------------------------------------------------------
 
 TEST(CheckpointHash, DeterministicAndContentSensitive) {
-  EXPECT_EQ(core::checkpoint_hash("abc"), core::checkpoint_hash("abc"));
-  EXPECT_NE(core::checkpoint_hash("abc"), core::checkpoint_hash("abd"));
-  EXPECT_NE(core::checkpoint_hash(""),
-            core::checkpoint_hash(std::string_view("\0", 1)));
+  EXPECT_EQ(core::fnv1a("abc"), core::fnv1a("abc"));
+  EXPECT_NE(core::fnv1a("abc"), core::fnv1a("abd"));
+  EXPECT_NE(core::fnv1a(""),
+            core::fnv1a(std::string_view("\0", 1)));
   // FNV-1a offset basis for the empty string (stable across platforms).
-  EXPECT_EQ(core::checkpoint_hash(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(core::fnv1a(""), 0xcbf29ce484222325ull);
+}
+
+TEST(TempDir, ThrowsSystemErrorWhenItCannotBeCreated) {
+  EXPECT_THROW(core::TempDir("autonet-no-such-parent/dir"), std::system_error);
 }
 
 TEST(WriteFileAtomic, WritesAndReplacesWithoutTemps) {
-  const std::string dir = temp_dir("autonet_atomic_test");
-  fs::create_directories(dir);
+  const core::TempDir tmp("autonet_atomic_test");
+  const std::string& dir = tmp.path();
   const std::string path = dir + "/target.txt";
   core::write_file_atomic(path, "first");
   EXPECT_EQ(slurp(path), "first");
@@ -69,17 +69,15 @@ TEST(WriteFileAtomic, WritesAndReplacesWithoutTemps) {
     EXPECT_EQ(entry.path().filename().string(), "target.txt");
   }
   EXPECT_EQ(entries, 1u);
-  fs::remove_all(dir);
 }
 
 TEST(AppendLineDurable, AppendsOneLinePerCall) {
-  const std::string dir = temp_dir("autonet_append_test");
-  fs::create_directories(dir);
+  const core::TempDir tmp("autonet_append_test");
+  const std::string& dir = tmp.path();
   const std::string path = dir + "/log.jsonl";
   core::append_line_durable(path, "one");
   core::append_line_durable(path, "two");
   EXPECT_EQ(slurp(path), "one\ntwo\n");
-  fs::remove_all(dir);
 }
 
 // --- CheckpointStore ------------------------------------------------------
@@ -87,7 +85,8 @@ TEST(AppendLineDurable, AppendsOneLinePerCall) {
 TEST(CheckpointStore, RecordsRestoresAndPersistsAcrossReopen) {
   obs::Registry registry(std::make_unique<obs::VirtualClock>());
   obs::RegistryScope scope(registry);
-  const std::string dir = temp_dir("autonet_ckpt_store_test");
+  const core::TempDir tmp("autonet_ckpt_store_test");
+  const std::string& dir = tmp.path();
   {
     core::CheckpointStore store(dir);
     EXPECT_FALSE(store.has_phase("load"));
@@ -108,11 +107,11 @@ TEST(CheckpointStore, RecordsRestoresAndPersistsAcrossReopen) {
   EXPECT_DOUBLE_EQ(reopened.phase_ms("design"), 7.25);
   EXPECT_EQ(reopened.meta("input_hash"), "42");
   EXPECT_EQ(reopened.meta("no_such_key"), "");
-  fs::remove_all(dir);
 }
 
 TEST(CheckpointStore, TamperedArtifactFailsTheHashCheck) {
-  const std::string dir = temp_dir("autonet_ckpt_tamper_test");
+  const core::TempDir tmp("autonet_ckpt_tamper_test");
+  const std::string& dir = tmp.path();
   core::CheckpointStore store(dir);
   store.record_phase("compile", "compile.json", "{\"nidb\":true}", 1);
   {
@@ -124,20 +123,20 @@ TEST(CheckpointStore, TamperedArtifactFailsTheHashCheck) {
   // A reopened store agrees: the record exists but fails verification.
   core::CheckpointStore reopened(dir);
   EXPECT_FALSE(reopened.has_phase("compile"));
-  fs::remove_all(dir);
 }
 
 TEST(CheckpointStore, MissingArtifactFileIsNotAPhase) {
-  const std::string dir = temp_dir("autonet_ckpt_missing_test");
+  const core::TempDir tmp("autonet_ckpt_missing_test");
+  const std::string& dir = tmp.path();
   core::CheckpointStore store(dir);
   store.record_phase("render", "render.json", "content", 1);
   fs::remove(dir + "/render.json");
   EXPECT_FALSE(store.has_phase("render"));
-  fs::remove_all(dir);
 }
 
 TEST(CheckpointStore, TornManifestRecoversAsEmpty) {
-  const std::string dir = temp_dir("autonet_ckpt_torn_test");
+  const core::TempDir tmp("autonet_ckpt_torn_test");
+  const std::string& dir = tmp.path();
   {
     core::CheckpointStore store(dir);
     store.record_phase("load", "load.json", "x", 1);
@@ -152,11 +151,11 @@ TEST(CheckpointStore, TornManifestRecoversAsEmpty) {
   // The store remains usable after recovery.
   recovered.record_phase("load", "load.json", "y", 2);
   EXPECT_EQ(recovered.artifact("load"), "y");
-  fs::remove_all(dir);
 }
 
 TEST(CheckpointStore, InvalidateDropsDownstreamRecordsOnly) {
-  const std::string dir = temp_dir("autonet_ckpt_invalidate_test");
+  const core::TempDir tmp("autonet_ckpt_invalidate_test");
+  const std::string& dir = tmp.path();
   core::CheckpointStore store(dir);
   store.record_phase("load", "load.json", "l", 1);
   store.record_phase("design", "design.json", "d", 1);
@@ -169,11 +168,11 @@ TEST(CheckpointStore, InvalidateDropsDownstreamRecordsOnly) {
   // The invalidation is durable, not just in-memory.
   core::CheckpointStore reopened(dir);
   EXPECT_EQ(reopened.phases(), (std::vector<std::string>{"load"}));
-  fs::remove_all(dir);
 }
 
 TEST(CheckpointStore, DiscardClearsEverything) {
-  const std::string dir = temp_dir("autonet_ckpt_discard_test");
+  const core::TempDir tmp("autonet_ckpt_discard_test");
+  const std::string& dir = tmp.path();
   core::CheckpointStore store(dir);
   store.record_phase("load", "load.json", "l", 1);
   store.set_meta("options", "sig");
@@ -182,7 +181,6 @@ TEST(CheckpointStore, DiscardClearsEverything) {
   EXPECT_EQ(store.meta("options"), "");
   core::CheckpointStore reopened(dir);
   EXPECT_TRUE(reopened.phases().empty());
-  fs::remove_all(dir);
 }
 
 // --- Artifact serialization round-trips -----------------------------------
@@ -264,8 +262,8 @@ TEST(JournalCheckpoint, RecordRoundTrips) {
 }
 
 TEST(JournalCheckpoint, LoadLatestWinsAndCompletionSupersedes) {
-  const std::string dir = temp_dir("autonet_journal_ckpt_test");
-  fs::create_directories(dir);
+  const core::TempDir tmp("autonet_journal_ckpt_test");
+  const std::string& dir = tmp.path();
   const std::string path = dir + "/journal.jsonl";
   experiment::Journal journal(path);
 
@@ -305,12 +303,11 @@ TEST(JournalCheckpoint, LoadLatestWinsAndCompletionSupersedes) {
     file << "{\"ckpt\":{\"run_id\":\"c/rep0\",\"ph";
   }
   EXPECT_EQ(journal.load_checkpoints().size(), 1u);
-  fs::remove_all(dir);
 }
 
 TEST(JournalCheckpoint, FailedResultDoesNotSpendThePointer) {
-  const std::string dir = temp_dir("autonet_journal_failed_test");
-  fs::create_directories(dir);
+  const core::TempDir tmp("autonet_journal_failed_test");
+  const std::string& dir = tmp.path();
   experiment::Journal journal(dir + "/journal.jsonl");
   experiment::CheckpointRecord record;
   record.run_id = "a/rep0";
@@ -323,7 +320,6 @@ TEST(JournalCheckpoint, FailedResultDoesNotSpendThePointer) {
   journal.append(failed);
   // The failed run will re-execute; its checkpoint stays available.
   EXPECT_TRUE(journal.load_checkpoints().contains("a/rep0"));
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -43,8 +43,8 @@ TEST(Archive, DetectsCorruption) {
 }
 
 TEST(Archive, ChecksumIsStable) {
-  EXPECT_EQ(checksum("abc"), checksum("abc"));
-  EXPECT_NE(checksum("abc"), checksum("abd"));
+  EXPECT_EQ(core::fnv1a("abc"), core::fnv1a("abc"));
+  EXPECT_NE(core::fnv1a("abc"), core::fnv1a("abd"));
 }
 
 class DeployFixture : public ::testing::Test {

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <thread>
 
+#include "core/temp_dir.hpp"
 #include "core/workflow.hpp"
 #include "deploy/deployer.hpp"
 #include "experiment/aggregate.hpp"
@@ -181,10 +182,8 @@ TEST(Journal, JsonRoundTrip) {
 }
 
 TEST(Journal, LoadSkipsTornTrailingLine) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "autonet_journal_test.jsonl")
-          .string();
-  std::filesystem::remove(path);
+  const core::TempDir tmp("autonet_journal_test");
+  const std::string path = tmp.path() + "/journal.jsonl";
   experiment::Journal journal(path);
   journal.append(make_result("a/rep0", 0, true));
   journal.append(make_result("b/rep0", 1, true));
@@ -198,7 +197,6 @@ TEST(Journal, LoadSkipsTornTrailingLine) {
   EXPECT_TRUE(loaded.contains("a/rep0"));
   EXPECT_TRUE(loaded.contains("b/rep0"));
   EXPECT_FALSE(loaded.contains("c/rep0"));
-  std::filesystem::remove(path);
 }
 
 TEST(Journal, EmptyPathDisablesPersistence) {
@@ -443,10 +441,8 @@ TEST(CampaignRunner, TwoInvocationsProduceIdenticalAggregates) {
 }
 
 TEST(CampaignRunner, ResumeSkipsJournalledRuns) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "autonet_resume_test.jsonl")
-          .string();
-  std::filesystem::remove(path);
+  const core::TempDir tmp("autonet_resume_test");
+  const std::string path = tmp.path() + "/journal.jsonl";
   const experiment::CampaignSpec spec = fast_spec();
 
   // First invocation "killed" after three runs: seed the journal with a
@@ -488,7 +484,6 @@ TEST(CampaignRunner, ResumeSkipsJournalledRuns) {
   std::filesystem::remove(path);
   experiment::CampaignRunner rerun(spec, no_resume);
   EXPECT_EQ(rerun.run().executed, 8u);
-  std::filesystem::remove(path);
 }
 
 // --- Concurrency isolation (satellite) ------------------------------------

@@ -11,6 +11,9 @@
 #include <set>
 #include <sstream>
 
+#include "core/hash.hpp"
+#include "core/json.hpp"
+#include "core/temp_dir.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/rng.hpp"
@@ -33,13 +36,6 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-std::string temp_dir(const std::string& name) {
-  const auto dir = fs::temp_directory_path() / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
 // --- RNG / seeds -----------------------------------------------------------
 
 TEST(FuzzRng, SplitmixIsDeterministicAndSeedSensitive) {
@@ -60,10 +56,12 @@ TEST(FuzzRng, SplitmixIsDeterministicAndSeedSensitive) {
 TEST(FuzzRng, MixAndFnvAreStableAcrossPlatforms) {
   // Pinned values: the corpus addresses and journal seeds depend on
   // these never changing.
-  EXPECT_EQ(fuzz::fnv1a(""), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(fuzz::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  static_assert(core::fnv1a("") == 0xcbf29ce484222325ULL);
+  EXPECT_EQ(core::fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(core::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(core::fnv1a("b", core::fnv1a("a")), core::fnv1a("ab"));
+  EXPECT_EQ(fuzz::mix(1, 2), 0x7717980363c8e066ULL);
   EXPECT_NE(fuzz::mix(1, 2), fuzz::mix(2, 1));
-  EXPECT_EQ(fuzz::mix(1, 2), fuzz::mix(1, 2));
 }
 
 // --- Scenario generation ---------------------------------------------------
@@ -182,9 +180,10 @@ fuzz::Oracle poison_oracle() {
 
 TEST(FuzzOracles, SameSeedScratchDirsAreDistinctAndIndependent) {
   // Two same-seed campaigns (processes or threads) each get their own
-  // checkpoint directory: neither can delete the other's files.
-  std::optional<fuzz::ScratchDir> first(std::in_place, "incr", 7);
-  fuzz::ScratchDir second("incr", 7);
+  // checkpoint directory (core::TempDir, named as the incr oracle names
+  // it): neither can delete the other's files.
+  std::optional<core::TempDir> first(std::in_place, "autonet-fuzz-incr-7");
+  const core::TempDir second("autonet-fuzz-incr-7");
   const std::string first_path = first->path();
   EXPECT_NE(first_path, second.path());
   EXPECT_NE(first_path.find("autonet-fuzz-incr-7-"), std::string::npos) << first_path;
@@ -237,7 +236,8 @@ TEST(FuzzShrink, RespectsEvaluationBudget) {
 // --- Corpus ----------------------------------------------------------------
 
 TEST(FuzzCorpus, SaveListLoadRoundTrip) {
-  const std::string dir = temp_dir("autonet_fuzz_corpus");
+  const core::TempDir tmp("autonet_fuzz_corpus");
+  const std::string& dir = tmp.path();
   const fuzz::Scenario s = fuzz::generate_scenario(13, 8);
   const std::string path =
       fuzz::save_corpus_entry(dir, "render-roundtrip", s, "detail text");
@@ -256,19 +256,24 @@ TEST(FuzzCorpus, SaveListLoadRoundTrip) {
   EXPECT_NE(repro.find("oracle: render-roundtrip"), std::string::npos);
   EXPECT_NE(repro.find("autonet fuzz --replay render-roundtrip/13.graphml"),
             std::string::npos);
-  fs::remove_all(dir);
 }
 
 // --- Campaign driver -------------------------------------------------------
 
 TEST(FuzzSession, JsonEscapeHandlesControlCharacters) {
-  EXPECT_EQ(fuzz::json_escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-  EXPECT_EQ(fuzz::json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(core::json_escape("a\"b\\c\nd\te\rf"), "a\\\"b\\\\c\\nd\\te\\rf");
+  EXPECT_EQ(core::json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(core::json_escape(std::string(1, '\x1f')), "\\u001f");
+  std::string quoted = "x=";
+  core::append_json_string(quoted, "\"\x7f");
+  EXPECT_EQ(quoted, "x=\"\\\"\x7f\"");
 }
 
 TEST(FuzzSession, CampaignJournalIsByteDeterministic) {
-  const std::string dir_a = temp_dir("autonet_fuzz_camp_a");
-  const std::string dir_b = temp_dir("autonet_fuzz_camp_b");
+  const core::TempDir dir_a_tmp("autonet_fuzz_camp_a");
+  const std::string& dir_a = dir_a_tmp.path();
+  const core::TempDir dir_b_tmp("autonet_fuzz_camp_b");
+  const std::string& dir_b = dir_b_tmp.path();
   fuzz::FuzzOptions options;
   options.seed = 1;
   options.runs = 8;
@@ -282,12 +287,11 @@ TEST(FuzzSession, CampaignJournalIsByteDeterministic) {
   EXPECT_TRUE(a.clean()) << (a.violations.empty() ? "" : a.violations[0].detail);
   EXPECT_EQ(a.executed, 8u);
   EXPECT_EQ(slurp(dir_a + "/journal.jsonl"), slurp(dir_b + "/journal.jsonl"));
-  fs::remove_all(dir_a);
-  fs::remove_all(dir_b);
 }
 
 TEST(FuzzSession, CampaignResumesFromJournalWithoutReexecution) {
-  const std::string dir = temp_dir("autonet_fuzz_resume");
+  const core::TempDir tmp("autonet_fuzz_resume");
+  const std::string& dir = tmp.path();
   fuzz::FuzzOptions options;
   options.seed = 4;
   options.runs = 6;
@@ -318,14 +322,14 @@ TEST(FuzzSession, CampaignResumesFromJournalWithoutReexecution) {
   const fuzz::FuzzReport third = fuzz::run_fuzz(options);
   EXPECT_EQ(third.executed, 7u);
   EXPECT_EQ(third.resumed, 0u);
-  fs::remove_all(dir);
 }
 
 TEST(FuzzSession, ViolationIsShrunkJournaledAndSavedToCorpus) {
   // End-to-end with a failing campaign: plant a violation by asking for
   // an unknown... rather, drive run_fuzz's failure path directly via a
   // scenario replay against the poison oracle through shrink+corpus.
-  const std::string dir = temp_dir("autonet_fuzz_violation");
+  const core::TempDir tmp("autonet_fuzz_violation");
+  const std::string& dir = tmp.path();
   fuzz::Scenario s = fuzz::generate_scenario(6, 24);
   const graph::EdgeId victim = s.graph.edges().front();
   s.graph.set_node_attr(s.graph.edge_src(victim), "poison", true);
@@ -339,15 +343,14 @@ TEST(FuzzSession, ViolationIsShrunkJournaledAndSavedToCorpus) {
   const fuzz::Scenario back = fuzz::load_corpus_entry(path);
   EXPECT_TRUE(fuzz::replay_scenario(back, oracle).failed());
   EXPECT_LE(back.graph.node_count(), 6u);
-  fs::remove_all(dir);
 }
 
 TEST(FuzzSession, UnknownOracleThrows) {
   fuzz::FuzzOptions options;
   options.oracle = "does-not-exist";
-  options.corpus_dir = temp_dir("autonet_fuzz_unknown");
+  const core::TempDir tmp("autonet_fuzz_unknown");
+  options.corpus_dir = tmp.path();
   EXPECT_THROW((void)fuzz::run_fuzz(options), std::runtime_error);
-  fs::remove_all(options.corpus_dir);
 }
 
 }  // namespace

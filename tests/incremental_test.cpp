@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/temp_dir.hpp"
 #include "core/workflow.hpp"
 #include "experiment/runner.hpp"
 #include "graph/graph.hpp"
@@ -33,12 +34,6 @@ namespace {
 
 using namespace autonet;
 namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / name;
-  fs::remove_all(dir);
-  return dir.string();
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
@@ -358,7 +353,8 @@ TEST(Projections, DeviceSignaturesDirtyOnlyTheEditedNeighborhood) {
 // --- Workflow: warm no-op -------------------------------------------------
 
 TEST(IncrementalWorkflow, WarmNoopRestoresEveryPhaseWithZeroWork) {
-  const std::string base = temp_dir("autonet_incr_warm_base");
+  const core::TempDir base_tmp("autonet_incr_warm_base");
+  const std::string& base = base_tmp.path();
   const graph::Graph g = topology::small_internet();
 
   std::string baseline_report;
@@ -396,7 +392,6 @@ TEST(IncrementalWorkflow, WarmNoopRestoresEveryPhaseWithZeroWork) {
     EXPECT_EQ(report::run_report_json(wf), baseline_report);
     EXPECT_TRUE(wf.ok());
   }
-  fs::remove_all(base);
 }
 
 // --- Workflow: partial byte-equivalence -----------------------------------
@@ -442,9 +437,12 @@ void expect_identical_artifacts(const std::string& a, const std::string& b) {
 }
 
 TEST(IncrementalWorkflow, CostEditOnSmallInternetIsByteIdenticalToScratch) {
-  const std::string base = temp_dir("autonet_incr_si_base");
-  const std::string part = temp_dir("autonet_incr_si_part");
-  const std::string scratch = temp_dir("autonet_incr_si_scratch");
+  const core::TempDir base_tmp("autonet_incr_si_base");
+  const std::string& base = base_tmp.path();
+  const core::TempDir part_tmp("autonet_incr_si_part");
+  const std::string& part = part_tmp.path();
+  const core::TempDir scratch_tmp("autonet_incr_si_scratch");
+  const std::string& scratch = scratch_tmp.path();
 
   const graph::Graph g = topology::small_internet();
   graph::Graph edited = topology::small_internet();
@@ -474,16 +472,15 @@ TEST(IncrementalWorkflow, CostEditOnSmallInternetIsByteIdenticalToScratch) {
   EXPECT_EQ(incremental.report, from_scratch.report);
   EXPECT_EQ(incremental.sarif, from_scratch.sarif);
   expect_identical_artifacts(part, scratch);
-
-  fs::remove_all(base);
-  fs::remove_all(part);
-  fs::remove_all(scratch);
 }
 
 TEST(IncrementalWorkflow, NodeAttrEditOnSmallInternetIsByteIdentical) {
-  const std::string base = temp_dir("autonet_incr_si2_base");
-  const std::string part = temp_dir("autonet_incr_si2_part");
-  const std::string scratch = temp_dir("autonet_incr_si2_scratch");
+  const core::TempDir base_tmp("autonet_incr_si2_base");
+  const std::string& base = base_tmp.path();
+  const core::TempDir part_tmp("autonet_incr_si2_part");
+  const std::string& part = part_tmp.path();
+  const core::TempDir scratch_tmp("autonet_incr_si2_scratch");
+  const std::string& scratch = scratch_tmp.path();
 
   const graph::Graph g = topology::small_internet();
   graph::Graph edited = topology::small_internet();
@@ -503,16 +500,15 @@ TEST(IncrementalWorkflow, NodeAttrEditOnSmallInternetIsByteIdentical) {
   EXPECT_EQ(incremental.report, from_scratch.report);
   EXPECT_EQ(incremental.sarif, from_scratch.sarif);
   expect_identical_artifacts(part, scratch);
-
-  fs::remove_all(base);
-  fs::remove_all(part);
-  fs::remove_all(scratch);
 }
 
 TEST(IncrementalWorkflow, CostEditOnNrenModelIsByteIdenticalToScratch) {
-  const std::string base = temp_dir("autonet_incr_nren_base");
-  const std::string part = temp_dir("autonet_incr_nren_part");
-  const std::string scratch = temp_dir("autonet_incr_nren_scratch");
+  const core::TempDir base_tmp("autonet_incr_nren_base");
+  const std::string& base = base_tmp.path();
+  const core::TempDir part_tmp("autonet_incr_nren_part");
+  const std::string& part = part_tmp.path();
+  const core::TempDir scratch_tmp("autonet_incr_nren_scratch");
+  const std::string& scratch = scratch_tmp.path();
 
   const graph::Graph g = small_nren();
   graph::Graph edited = small_nren();
@@ -532,16 +528,13 @@ TEST(IncrementalWorkflow, CostEditOnNrenModelIsByteIdenticalToScratch) {
   EXPECT_EQ(incremental.report, from_scratch.report);
   EXPECT_EQ(incremental.sarif, from_scratch.sarif);
   expect_identical_artifacts(part, scratch);
-
-  fs::remove_all(base);
-  fs::remove_all(part);
-  fs::remove_all(scratch);
 }
 
 // --- Workflow: hot-apply --------------------------------------------------
 
 TEST(IncrementalWorkflow, HotApplyConvergesToTheScratchControlPlane) {
-  const std::string base = temp_dir("autonet_incr_hot_base");
+  const core::TempDir base_tmp("autonet_incr_hot_base");
+  const std::string& base = base_tmp.path();
   const graph::Graph g = topology::figure5();
   graph::Graph edited = topology::figure5();
   // Push r1->r4 traffic off the r1-r3 link.
@@ -589,8 +582,6 @@ TEST(IncrementalWorkflow, HotApplyConvergesToTheScratchControlPlane) {
   const auto path_hot = hot.measurement().traceroute("r1", "r4");
   EXPECT_TRUE(path_hot.reached);
   EXPECT_EQ(path_hot.node_path, path_scratch.node_path);
-
-  fs::remove_all(base);
 }
 
 TEST(IncrementalWorkflow, LinkAddFallsBackToRebuildNotHotApply) {
@@ -598,7 +589,8 @@ TEST(IncrementalWorkflow, LinkAddFallsBackToRebuildNotHotApply) {
   // hot-apply planner must refuse it and the workflow must fall back to
   // a full redeploy whose results match a from-scratch run — with the
   // decision visible in the --explain report.
-  const std::string base = temp_dir("autonet_incr_linkadd_base");
+  const core::TempDir base_tmp("autonet_incr_linkadd_base");
+  const std::string& base = base_tmp.path();
   const graph::Graph g = topology::figure5();
   graph::Graph edited = topology::figure5();
   edited.add_edge(edited.find_node("r1"), edited.find_node("r4"));
@@ -657,8 +649,6 @@ TEST(IncrementalWorkflow, LinkAddFallsBackToRebuildNotHotApply) {
   // And the built artifacts are byte-identical to scratch.
   EXPECT_EQ(hot.nidb().to_json(), scratch.nidb().to_json());
   EXPECT_TRUE(hot.configs() == scratch.configs());
-
-  fs::remove_all(base);
 }
 
 TEST(HotApply, FailLinkActionDrainsTheLinkAndReconverges) {
@@ -691,7 +681,8 @@ TEST(HotApply, FailLinkActionDrainsTheLinkAndReconverges) {
 // --- Campaigns ------------------------------------------------------------
 
 TEST(CampaignRunner, IncrementalCampaignChainsRunsAndJournalsDeltaMetrics) {
-  const std::string ckpt = temp_dir("autonet_incr_campaign_ckpt");
+  const core::TempDir ckpt_tmp("autonet_incr_campaign_ckpt");
+  const std::string& ckpt = ckpt_tmp.path();
   experiment::CampaignSpec spec;
   spec.name = "incr";
   spec.topology = "figure5";
@@ -714,8 +705,6 @@ TEST(CampaignRunner, IncrementalCampaignChainsRunsAndJournalsDeltaMetrics) {
   EXPECT_EQ(result.results[1].metric("delta.reuse_ratio", -1), 1.0);
   EXPECT_EQ(result.results[1].metric("delta.dirty_devices", -1), 0.0);
   EXPECT_EQ(result.results[1].metric("delta.reused_devices", -1), 5.0);
-
-  fs::remove_all(ckpt);
 }
 
 }  // namespace

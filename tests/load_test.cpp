@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/temp_dir.hpp"
 #include "topology/builtin.hpp"
 #include "topology/gml.hpp"
 #include "topology/graphml.hpp"
@@ -15,19 +16,14 @@ namespace fs = std::filesystem;
 
 class LoadDispatch : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() / "autonet_load_test";
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
   std::string write(const std::string& name, const std::string& content) {
     auto path = dir_ / name;
     std::ofstream(path) << content;
     return path.string();
   }
 
-  fs::path dir_;
+  const autonet::core::TempDir tmp_{"autonet_load_test"};
+  const fs::path dir_{tmp_.path()};
 };
 
 TEST_F(LoadDispatch, GraphmlByExtension) {

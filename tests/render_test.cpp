@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/temp_dir.hpp"
 #include "core/workflow.hpp"
 #include "render/renderer.hpp"
 #include "topology/builtin.hpp"
@@ -48,13 +49,13 @@ TEST(ConfigTree, DiskRoundTrip) {
   ConfigTree tree;
   tree.put("lab.conf", "LAB_VERSION=1\n");
   tree.put("r1/etc/quagga/zebra.conf", "hostname r1\n");
-  auto dir = std::filesystem::temp_directory_path() / "autonet_tree_test";
-  std::filesystem::remove_all(dir);
-  tree.write_to_disk(dir.string());
-  auto restored = ConfigTree::read_from_disk(dir.string());
+  const core::TempDir tmp("autonet_tree_test");
+  const std::string dir = tmp.path() + "/tree";
+  tree.write_to_disk(dir);
+  auto restored = ConfigTree::read_from_disk(dir);
   EXPECT_EQ(restored, tree);
   std::filesystem::remove_all(dir);
-  EXPECT_THROW(ConfigTree::read_from_disk(dir.string()), std::runtime_error);
+  EXPECT_THROW(ConfigTree::read_from_disk(dir), std::runtime_error);
 }
 
 TEST(Render, QuaggaOspfdMatchesPaperSyntax) {
@@ -161,8 +162,8 @@ TEST(Render, MissingTemplateBaseThrows) {
 
 TEST(TemplateStoreTest, CustomDirectoryWithStaticFiles) {
   // §5.5: a user directory holding templates (*.tmpl) and static files.
-  auto dir = std::filesystem::temp_directory_path() / "autonet_tmpl_test";
-  std::filesystem::remove_all(dir);
+  const core::TempDir tmp("autonet_tmpl_test");
+  const std::filesystem::path dir = tmp.path();
   std::filesystem::create_directories(dir / "etc");
   std::ofstream(dir / "etc" / "motd") << "static banner\n";
   std::ofstream(dir / "etc" / "custom.conf.tmpl") << "host ${node.hostname}\n";
@@ -177,7 +178,6 @@ TEST(TemplateStoreTest, CustomDirectoryWithStaticFiles) {
   auto tree = render::render_configs(nidb, store);
   EXPECT_EQ(*tree.get("localhost/custom/r9/etc/motd"), "static banner\n");
   EXPECT_EQ(*tree.get("localhost/custom/r9/etc/custom.conf"), "host r9\n");
-  std::filesystem::remove_all(dir);
 }
 
 TEST(TemplateStoreTest, MissingDirectoryThrows) {

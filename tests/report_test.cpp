@@ -17,6 +17,7 @@
 
 #include "core/cancel.hpp"
 #include "core/checkpoint.hpp"
+#include "core/temp_dir.hpp"
 #include "core/workflow.hpp"
 #include "experiment/journal.hpp"
 #include "nidb/value.hpp"
@@ -30,13 +31,6 @@ namespace {
 
 using namespace autonet;
 namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -63,7 +57,9 @@ TEST(Recorder, DrainReturnsSequenceOrderAndClears) {
   ASSERT_EQ(events.size(), 5u);
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].name, "e" + std::to_string(i));
-    if (i > 0) EXPECT_GT(events[i].seq, events[i - 1].seq);
+    if (i > 0) {
+      EXPECT_GT(events[i].seq, events[i - 1].seq);
+    }
   }
   EXPECT_TRUE(recorder.drain().empty());
   EXPECT_EQ(recorder.recorded(), 5u);
@@ -138,7 +134,9 @@ TEST(Recorder, CrossThreadDrainMergesIntoSequenceOrder) {
   ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads * kPerThread));
   std::vector<int> next(kThreads, 0);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) EXPECT_GT(events[i].seq, events[i - 1].seq);
+    if (i > 0) {
+      EXPECT_GT(events[i].seq, events[i - 1].seq);
+    }
     // Each thread's events appear in its own program order.
     const int t = events[i].category[1] - '0';
     EXPECT_EQ(events[i].name, std::to_string(next[t]++));
@@ -366,7 +364,8 @@ TEST(ReportDiff, IdenticalReportsDiffEmpty) {
 }
 
 TEST(RunReport, LoadReportRejectsNonReports) {
-  const std::string dir = temp_dir("autonet_report_load");
+  const core::TempDir tmp("autonet_report_load");
+  const std::string& dir = tmp.path();
   EXPECT_THROW((void)report::load_report(dir + "/missing.json"),
                std::runtime_error);
   {
@@ -375,7 +374,6 @@ TEST(RunReport, LoadReportRejectsNonReports) {
   }
   EXPECT_THROW((void)report::load_report(dir + "/other.json"),
                std::runtime_error);
-  fs::remove_all(dir);
 }
 
 // --- The acceptance path: kill mid-deploy, resume, byte-identical ----------
@@ -409,7 +407,9 @@ TEST(RunReportResume, KillMidDeployDumpsTailAndResumesByteIdentical) {
   }
   ASSERT_FALSE(kill_at.empty());
 
-  const std::string dir = temp_dir("autonet_report_resume");
+  const core::TempDir tmp("autonet_report_resume");
+
+  const std::string& dir = tmp.path();
 
   // Crash mid-deploy with checkpointing on.
   {
@@ -464,13 +464,13 @@ TEST(RunReportResume, KillMidDeployDumpsTailAndResumesByteIdentical) {
         nidb::parse_json(reference), nidb::parse_json(resumed));
     EXPECT_TRUE(diff.empty()) << diff.to_string();
   }
-  fs::remove_all(dir);
 }
 
 // --- Journal resume provenance ---------------------------------------------
 
 TEST(Journal, ResumedIdsAreDerivedFromJournalShape) {
-  const std::string dir = temp_dir("autonet_report_journal");
+  const core::TempDir tmp("autonet_report_journal");
+  const std::string& dir = tmp.path();
   experiment::Journal journal(dir + "/journal.jsonl");
 
   experiment::RunResult clean;
@@ -497,7 +497,6 @@ TEST(Journal, ResumedIdsAreDerivedFromJournalShape) {
   const auto checkpoints = journal.load_checkpoints();
   ASSERT_EQ(checkpoints.size(), 1u);
   EXPECT_EQ(checkpoints.begin()->first, "c");
-  fs::remove_all(dir);
 }
 
 TEST(Journal, ReportPathIsAConditionalKeyThatRoundTrips) {

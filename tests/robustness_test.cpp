@@ -8,6 +8,7 @@
 #include <random>
 #include <typeinfo>
 
+#include "core/temp_dir.hpp"
 #include "emulation/config_parse.hpp"
 #include "emulation/incident.hpp"
 #include "emulation/network.hpp"
@@ -144,8 +145,8 @@ TEST(Robustness, GraphmlErrorsCarryLineContext) {
 }
 
 TEST(Robustness, GraphmlFileErrorsCarryPath) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "autonet-bad.graphml").string();
+  const core::TempDir tmp("autonet-bad");
+  const std::string path = tmp.path() + "/bad.graphml";
   {
     std::ofstream out(path, std::ios::binary);
     out << "<graphml>\n<graph>\n";
@@ -158,7 +159,6 @@ TEST(Robustness, GraphmlFileErrorsCarryPath) {
     EXPECT_NE(what.find(path), std::string::npos) << what;
     EXPECT_NE(what.find("line"), std::string::npos) << what;
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Robustness, RocketfuelMalformedLineIsTypedError) {
@@ -185,8 +185,8 @@ TEST(Robustness, RocketfuelMalformedLineIsTypedError) {
 }
 
 TEST(Robustness, RocketfuelFileErrorsCarryPath) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "autonet-bad.cch").string();
+  const core::TempDir tmp("autonet-bad");
+  const std::string path = tmp.path() + "/bad.cch";
   {
     std::ofstream out(path, std::ios::binary);
     out << "1 @loc -> <2> =r1 rn\nbogus\n";
@@ -199,7 +199,6 @@ TEST(Robustness, RocketfuelFileErrorsCarryPath) {
     EXPECT_NE(what.find(path), std::string::npos) << what;
     EXPECT_NE(what.find("line 2"), std::string::npos) << what;
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Robustness, GmlMalformedInputIsTypedError) {
@@ -235,8 +234,8 @@ TEST(Robustness, GmlMalformedInputIsTypedError) {
 }
 
 TEST(Robustness, GmlFileErrorsCarryPath) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "autonet-bad.gml").string();
+  const core::TempDir tmp("autonet-bad");
+  const std::string path = tmp.path() + "/bad.gml";
   {
     std::ofstream out(path, std::ios::binary);
     out << "graph [ node [ id - ] ]";
@@ -247,7 +246,6 @@ TEST(Robustness, GmlFileErrorsCarryPath) {
   } catch (const topology::ParseError& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Robustness, JsonNeverCrashes) {
