@@ -13,6 +13,7 @@
 
 #include "bench_json.hpp"
 
+#include "core/temp_dir.hpp"
 #include "core/workflow.hpp"
 #include "graph/graph.hpp"
 #include "incremental/delta.hpp"
@@ -38,12 +39,6 @@ graph::Graph edited_model() {
   return g;
 }
 
-std::string bench_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / name;
-  fs::remove_all(dir);
-  return dir.string();
-}
-
 void build_phases(core::Workflow& wf, const graph::Graph& g) {
   wf.load(g).design().compile().render().lint();
 }
@@ -58,7 +53,10 @@ void make_baseline(const graph::Graph& g, const std::string& dir) {
 
 void BM_Delta_ColdBuild(benchmark::State& state) {
   const graph::Graph g = bench_model();
-  const std::string dir = bench_dir("autonet_bench_delta_cold");
+  // A fresh checkpoint directory per iteration, inside a private scratch
+  // directory so concurrent benchmark processes never share one.
+  const core::TempDir scratch("autonet_bench_delta_cold");
+  const std::string dir = scratch.path() + "/ckpt";
   for (auto _ : state) {
     state.PauseTiming();
     fs::remove_all(dir);
@@ -69,13 +67,13 @@ void BM_Delta_ColdBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(wf.nidb().device_count());
   }
   state.counters["devices"] = static_cast<double>(g.node_count());
-  fs::remove_all(dir);
 }
 BENCHMARK(BM_Delta_ColdBuild)->Unit(benchmark::kMillisecond);
 
 void BM_Delta_WarmNoop(benchmark::State& state) {
   const graph::Graph g = bench_model();
-  const std::string base = bench_dir("autonet_bench_delta_warm_base");
+  const core::TempDir base_dir("autonet_bench_delta_warm_base");
+  const std::string& base = base_dir.path();
   make_baseline(g, base);
   std::size_t reused = 0;
   for (auto _ : state) {
@@ -86,14 +84,14 @@ void BM_Delta_WarmNoop(benchmark::State& state) {
     benchmark::DoNotOptimize(wf.nidb().device_count());
   }
   state.counters["phases_restored"] = static_cast<double>(reused);
-  fs::remove_all(base);
 }
 BENCHMARK(BM_Delta_WarmNoop)->Unit(benchmark::kMillisecond);
 
 void BM_Delta_SingleEdit(benchmark::State& state) {
   const graph::Graph g = bench_model();
   const graph::Graph edited = edited_model();
-  const std::string base = bench_dir("autonet_bench_delta_edit_base");
+  const core::TempDir base_dir("autonet_bench_delta_edit_base");
+  const std::string& base = base_dir.path();
   make_baseline(g, base);
   std::size_t reused = 0;
   for (auto _ : state) {
@@ -104,7 +102,6 @@ void BM_Delta_SingleEdit(benchmark::State& state) {
     benchmark::DoNotOptimize(wf.nidb().device_count());
   }
   state.counters["devices_reused"] = static_cast<double>(reused);
-  fs::remove_all(base);
 }
 BENCHMARK(BM_Delta_SingleEdit)->Unit(benchmark::kMillisecond);
 

@@ -9,8 +9,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
@@ -45,6 +43,34 @@ void fsync_dir(const std::string& dir) {
   if (fd < 0) return;  // directory fsync is best-effort on odd filesystems
   ::fsync(fd);
   ::close(fd);
+}
+
+// The whole file in one read sized by fstat; nullopt when it cannot be
+// opened or comes up short.
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return std::nullopt;
+  struct stat st {};
+  std::string content;
+  if (::fstat(fd, &st) == 0) content.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < content.size()) {
+    const ssize_t n = ::read(fd, content.data() + got, content.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  if (got != content.size()) return std::nullopt;
+  return content;
+}
+
+// The file's content when it hashes to `hash`: a missing, torn or
+// tampered file is nullopt.
+std::optional<std::string> read_verified(const std::string& path, std::uint64_t hash) {
+  std::optional<std::string> content = read_file(path);
+  if (content && fnv1a(*content) != hash) content.reset();
+  return content;
 }
 
 std::string hash_hex(std::uint64_t h) {
@@ -118,13 +144,11 @@ void CheckpointStore::load_manifest() {
   phases_.clear();
   order_.clear();
   meta_.clear();
-  std::ifstream in(dir_ + "/manifest.json", std::ios::binary);
-  if (!in) return;
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const std::optional<std::string> text = read_file(dir_ + "/manifest.json");
+  if (!text) return;
   nidb::Value manifest;
   try {
-    manifest = nidb::parse_json(buf.str());
+    manifest = nidb::parse_json(*text);
   } catch (const std::exception&) {
     return;  // torn or foreign manifest: treat as empty
   }
@@ -195,37 +219,14 @@ void CheckpointStore::write_manifest() {
                     nidb::Value(std::move(manifest)).to_json(true) + "\n");
 }
 
-bool CheckpointStore::has_phase(std::string_view phase) const {
-  const auto it = phases_.find(std::string(phase));
-  if (it == phases_.end()) return false;
-  std::ifstream in(dir_ + "/" + it->second.artifact, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return fnv1a(buf.str()) == it->second.hash;
-}
-
-std::string CheckpointStore::artifact(std::string_view phase) const {
-  const auto it = phases_.find(std::string(phase));
-  if (it == phases_.end()) {
-    throw CheckpointError("no checkpoint for phase '" + std::string(phase) + "'");
-  }
-  std::ifstream in(dir_ + "/" + it->second.artifact, std::ios::binary);
-  if (!in) {
-    throw CheckpointError("missing checkpoint artifact " + it->second.artifact);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string content = buf.str();
-  if (fnv1a(content) != it->second.hash) {
-    throw CheckpointError("corrupt checkpoint artifact " + it->second.artifact +
-                          " (content hash mismatch)");
-  }
-  return content;
+std::optional<std::string> CheckpointStore::artifact(std::string_view phase) const {
+  const auto it = phases_.find(phase);
+  if (it == phases_.end()) return std::nullopt;
+  return read_verified(dir_ + "/" + it->second.artifact, it->second.hash);
 }
 
 double CheckpointStore::phase_ms(std::string_view phase) const {
-  const auto it = phases_.find(std::string(phase));
+  const auto it = phases_.find(phase);
   return it == phases_.end() ? 0 : it->second.ms;
 }
 
@@ -252,33 +253,10 @@ void CheckpointStore::record_phase(const std::string& phase,
   obs::record("ckpt", "write", {{"phase", phase}});
 }
 
-bool CheckpointStore::has_events(std::string_view phase) const {
-  const auto it = phases_.find(std::string(phase));
-  if (it == phases_.end() || it->second.events_file.empty()) return false;
-  std::ifstream in(dir_ + "/" + it->second.events_file, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return fnv1a(buf.str()) == it->second.events_hash;
-}
-
-std::string CheckpointStore::events(std::string_view phase) const {
-  const auto it = phases_.find(std::string(phase));
-  if (it == phases_.end() || it->second.events_file.empty()) {
-    throw CheckpointError("no event slice for phase '" + std::string(phase) + "'");
-  }
-  std::ifstream in(dir_ + "/" + it->second.events_file, std::ios::binary);
-  if (!in) {
-    throw CheckpointError("missing event slice " + it->second.events_file);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string content = buf.str();
-  if (fnv1a(content) != it->second.events_hash) {
-    throw CheckpointError("corrupt event slice " + it->second.events_file +
-                          " (content hash mismatch)");
-  }
-  return content;
+std::optional<std::string> CheckpointStore::events(std::string_view phase) const {
+  const auto it = phases_.find(phase);
+  if (it == phases_.end() || it->second.events_file.empty()) return std::nullopt;
+  return read_verified(dir_ + "/" + it->second.events_file, it->second.events_hash);
 }
 
 void CheckpointStore::set_meta(const std::string& key, std::string value) {

@@ -62,12 +62,11 @@ class CheckpointStore {
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
-  /// True when the manifest records `phase` and its artifact is intact
-  /// (present with a matching content hash).
-  [[nodiscard]] bool has_phase(std::string_view phase) const;
-  /// The artifact content for a completed phase; throws CheckpointError
-  /// when absent or corrupt.
-  [[nodiscard]] std::string artifact(std::string_view phase) const;
+  /// The artifact content of a completed phase, read in one sized read
+  /// and verified against the manifest's content hash; nullopt when the
+  /// manifest does not record `phase` or its artifact is missing, torn or
+  /// tampered.
+  [[nodiscard]] std::optional<std::string> artifact(std::string_view phase) const;
   [[nodiscard]] double phase_ms(std::string_view phase) const;
   /// Phase names present in the manifest (manifest order).
   [[nodiscard]] std::vector<std::string> phases() const;
@@ -82,11 +81,9 @@ class CheckpointStore {
                     const std::string& content, double ms,
                     const std::optional<std::string>& events = std::nullopt);
 
-  /// True when `phase` has an intact persisted event slice.
-  [[nodiscard]] bool has_events(std::string_view phase) const;
-  /// The persisted event-slice JSONL for a phase; throws CheckpointError
-  /// when absent or corrupt.
-  [[nodiscard]] std::string events(std::string_view phase) const;
+  /// The persisted event-slice JSONL of a phase, verified like
+  /// artifact(); nullopt when the phase has no slice or it is corrupt.
+  [[nodiscard]] std::optional<std::string> events(std::string_view phase) const;
 
   /// Free-form metadata (options hash, input hash, CLI options...),
   /// persisted in the manifest.
@@ -108,7 +105,7 @@ class CheckpointStore {
   void write_manifest();
 
   std::string dir_;
-  std::map<std::string, PhaseRecord> phases_;
+  std::map<std::string, PhaseRecord, std::less<>> phases_;
   std::vector<std::string> order_;
   std::map<std::string, std::string> meta_;
 };

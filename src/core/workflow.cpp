@@ -155,6 +155,19 @@ deploy::DeployResult deploy_result_from_value(const nidb::Value& v) {
   return r;
 }
 
+// The render artifact (path -> config text); nullopt when it is not an
+// object. Non-string entries are skipped.
+std::optional<render::ConfigTree> config_tree_from_json(const std::string& text) {
+  const nidb::Value doc = nidb::parse_json(text);
+  const auto* files = doc.as_object();
+  if (files == nullptr) return std::nullopt;
+  render::ConfigTree tree;
+  for (const auto& [path, content] : *files) {
+    if (const auto* config = content.as_string()) tree.put(path, *config);
+  }
+  return tree;
+}
+
 verify::Report lint_report_from_json(const std::string& text) {
   const nidb::Value doc = nidb::parse_json(text);
   verify::Report report;
@@ -424,28 +437,33 @@ void Workflow::prepare_incremental() {
         "baseline left no usable snapshot.json: full recompute");
     return;
   }
+  // Each artifact is read and verified once, then parsed, under one
+  // "incremental.restore.<phase>" span published outside any phase (like
+  // the delta counters); a phase the baseline lacks or holds corrupt is
+  // not reused.
+  obs::Registry& registry = telemetry();
+  obs::RegistryScope use(registry);
+  auto restore = [this, &registry](const std::string& phase, auto&& parse) {
+    obs::Span span(registry, "incremental.restore." + phase);
+    if (const std::optional<std::string> text = baseline_->artifact(phase)) {
+      parse(*text);
+    }
+  };
   try {
-    if (baseline_->has_phase("design")) {
+    restore("design", [this](const std::string& text) {
       anm::AbstractNetworkModel fresh;
-      anm_from_value(nidb::parse_json(baseline_->artifact("design")), fresh);
+      anm_from_value(nidb::parse_json(text), fresh);
       baseline_anm_.emplace(std::move(fresh));
-    }
-    if (baseline_->has_phase("compile")) {
-      baseline_nidb_ = nidb::Nidb::from_json(baseline_->artifact("compile"));
-    }
-    if (baseline_->has_phase("render")) {
-      const nidb::Value doc = nidb::parse_json(baseline_->artifact("render"));
-      if (const auto* files = doc.as_object()) {
-        render::ConfigTree tree;
-        for (const auto& [path, content] : *files) {
-          if (const auto* text = content.as_string()) tree.put(path, *text);
-        }
-        baseline_configs_ = std::move(tree);
-      }
-    }
-    if (baseline_->has_phase("lint")) {
-      baseline_lint_ = lint_report_from_json(baseline_->artifact("lint"));
-    }
+    });
+    restore("compile", [this](const std::string& text) {
+      baseline_nidb_ = nidb::Nidb::from_json(text);
+    });
+    restore("render", [this](const std::string& text) {
+      baseline_configs_ = config_tree_from_json(text);
+    });
+    restore("lint", [this](const std::string& text) {
+      baseline_lint_ = lint_report_from_json(text);
+    });
   } catch (const std::exception&) {
     baseline_anm_.reset();
     baseline_nidb_.reset();
@@ -469,28 +487,26 @@ bool Workflow::try_restore(const std::string& phase) {
   if (fresh_executed_) return false;
   // Own checkpoint first (resume); in warm incremental mode a phase the
   // own store lacks restores from the baseline instead.
-  CheckpointStore* src = nullptr;
-  bool from_baseline = false;
-  if (ckpt_ != nullptr && ckpt_->has_phase(phase)) {
-    src = ckpt_.get();
-  } else if (incr_warm_ && baseline_ != nullptr && baseline_->has_phase(phase)) {
+  CheckpointStore* src = ckpt_.get();
+  std::optional<std::string> artifact;
+  if (src != nullptr) artifact = src->artifact(phase);
+  const bool from_baseline = !artifact && incr_warm_ && baseline_ != nullptr;
+  if (from_baseline) {
     src = baseline_.get();
-    from_baseline = true;
+    artifact = src->artifact(phase);
   }
-  if (src == nullptr) return false;
+  if (!artifact) return false;
   obs::Registry& registry = telemetry();
   obs::RegistryScope use(registry);
   try {
-    restore_phase_state(phase, src->artifact(phase));
+    restore_phase_state(phase, *artifact);
     // Replay the phase's persisted flight-recorder slice so the run
     // report's timeline is byte-identical to an uninterrupted run's. A
     // record without a slice (pre-recorder checkpoint) restores with an
     // empty one.
-    if (src->has_events(phase)) {
-      phase_events_[phase] = events_from_jsonl(src->events(phase));
-    } else {
-      phase_events_[phase] = {};
-    }
+    const std::optional<std::string> events = src->events(phase);
+    phase_events_[phase] =
+        events ? events_from_jsonl(*events) : std::vector<obs::RecorderEvent>{};
   } catch (const std::exception&) {
     // A corrupt or stale artifact is not fatal: execute the phase fresh
     // (which re-records it and invalidates anything downstream).
@@ -615,14 +631,8 @@ void Workflow::restore_phase_state(const std::string& phase,
     return;
   }
   if (phase == "render") {
-    const nidb::Value doc = nidb::parse_json(artifact);
-    const auto* files = doc.as_object();
-    if (files == nullptr) throw CheckpointError("render checkpoint is not an object");
-    render::ConfigTree tree;
-    for (const auto& [path, content] : *files) {
-      if (const auto* text = content.as_string()) tree.put(path, *text);
-    }
-    configs_ = std::move(tree);
+    configs_ = config_tree_from_json(artifact);
+    if (!configs_) throw CheckpointError("render checkpoint is not an object");
     return;
   }
   if (phase == "lint") {
@@ -755,6 +765,9 @@ Workflow& Workflow::design() {
   // Consumers: the partial-mode design plan, and snapshot.json (own
   // store only) — a warm run without a checkpoint needs neither.
   if (ckpt_ != nullptr || incr_partial_) {
+    obs::Registry& registry = telemetry();
+    obs::RegistryScope use(registry);
+    obs::Span span(registry, "incremental.projections");
     cur_snap_.rule_hashes = incremental::rule_projections(anm_, design_spec());
     snap_has_rules_ = true;
   }
@@ -807,8 +820,13 @@ Workflow& Workflow::compile() {
   // whether design() ran fresh or restored. Same consumers as the rule
   // projections: the device plan and snapshot.json.
   if ((ckpt_ != nullptr || incr_partial_) && !snap_has_sigs_) {
-    incremental::DeviceSignatures sigs =
-        incremental::device_signatures(anm_, options_.platform);
+    incremental::DeviceSignatures sigs;
+    {
+      obs::Registry& registry = telemetry();
+      obs::RegistryScope use(registry);
+      obs::Span span(registry, "incremental.signatures");
+      sigs = incremental::device_signatures(anm_, options_.platform);
+    }
     cur_snap_.global_digest = sigs.global_digest;
     cur_snap_.device_sigs = sigs.sigs;
     snap_has_sigs_ = true;

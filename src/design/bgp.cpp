@@ -2,6 +2,7 @@
 
 #include <map>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/transforms.hpp"
@@ -33,12 +34,13 @@ OverlayGraph build_ibgp_full_mesh(anm::AbstractNetworkModel& anm) {
   auto rtrs = g_phy.routers();
   OverlayGraph g_ibgp = anm.add_overlay("ibgp", rtrs, true, {"asn"});
   g_ibgp.data()["ibgp_mode"] = "mesh";
-  // Eq. 2: (s, t) for every ordered same-AS router pair.
+  // Eq. 2: (s, t) for every ordered same-AS router pair, each AS's
+  // routers kept in `rtrs` order so the edges come out in that order.
+  std::map<std::int64_t, std::vector<const OverlayNode*>> by_asn;
+  for (const auto& r : rtrs) by_asn[r.asn()].push_back(&r);
   for (const auto& s : rtrs) {
-    for (const auto& t : rtrs) {
-      if (s.name() != t.name() && s.asn() == t.asn()) {
-        g_ibgp.add_edge(s.name(), t.name());
-      }
+    for (const OverlayNode* t : by_asn[s.asn()]) {
+      if (s.name() != t->name()) g_ibgp.add_edge(s.name(), t->name());
     }
   }
   return g_ibgp;

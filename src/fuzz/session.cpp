@@ -1,11 +1,10 @@
 #include "fuzz/session.hpp"
 
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "core/json.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/rng.hpp"
+#include "nidb/value.hpp"
 #include "obs/registry.hpp"
 
 namespace autonet::fuzz {
@@ -31,55 +31,6 @@ std::string campaign_header(const FuzzOptions& options) {
   core::append_json_string(out, options.oracle);
   out += "}}";
   return out;
-}
-
-std::string record_line(const FuzzRunRecord& r) {
-  std::string out = "{\"run\":" + std::to_string(r.run) +
-                    ",\"seed\":" + std::to_string(r.seed) + ",\"oracle\":";
-  core::append_json_string(out, r.oracle);
-  out += ",\"scenario\":";
-  core::append_json_string(out, r.scenario);
-  out += ",\"status\":\"" + r.status + "\",\"detail\":";
-  core::append_json_string(out, r.detail);
-  out += ",\"corpus\":";
-  core::append_json_string(out, r.corpus_path);
-  out += '}';
-  return out;
-}
-
-/// Minimal field extraction from our own journal lines (the writer and
-/// reader share the exact format; this is not a general JSON parser).
-std::string extract_string(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  std::string out;
-  for (std::size_t i = at + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\\' && i + 1 < line.size()) {
-      const char esc = line[++i];
-      if (esc == 'n') {
-        out += '\n';
-      } else if (esc == 'r') {
-        out += '\r';
-      } else if (esc == 't') {
-        out += '\t';
-      } else {
-        out += esc;
-      }
-      continue;
-    }
-    if (c == '"') break;
-    out += c;
-  }
-  return out;
-}
-
-std::int64_t extract_int(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return -1;
-  return std::strtoll(line.c_str() + at + needle.size(), nullptr, 10);
 }
 
 std::vector<std::string> read_lines(const std::string& path) {
@@ -105,6 +56,60 @@ std::vector<const Oracle*> enabled_oracles(const FuzzOptions& options) {
 
 }  // namespace
 
+std::string journal_line(const FuzzRunRecord& r) {
+  std::string out = "{\"run\":" + std::to_string(r.run) +
+                    ",\"seed\":" + std::to_string(r.seed) + ",\"oracle\":";
+  core::append_json_string(out, r.oracle);
+  out += ",\"scenario\":";
+  core::append_json_string(out, r.scenario);
+  out += ",\"status\":\"" + r.status + "\",\"detail\":";
+  core::append_json_string(out, r.detail);
+  out += ",\"corpus\":";
+  core::append_json_string(out, r.corpus_path);
+  out += '}';
+  return out;
+}
+
+std::optional<FuzzRunRecord> parse_journal_line(std::string line) {
+  // A scenario seed spans the full uint64 range and nidb numbers are
+  // int64: the seed's digits are converted here and zeroed for the parser.
+  // (Inside a JSON string the quotes of `"seed":` would be escaped, so the
+  // first match is the key.)
+  constexpr std::string_view kSeed = "\"seed\":";
+  FuzzRunRecord r;
+  if (const std::size_t at = line.find(kSeed); at != std::string::npos) {
+    const std::size_t begin = at + kSeed.size();
+    std::size_t end = begin;
+    while (end < line.size() && line[end] >= '0' && line[end] <= '9') ++end;
+    const auto [p, ec] = std::from_chars(line.data() + begin, line.data() + end, r.seed);
+    if (ec != std::errc{} || p != line.data() + end) return std::nullopt;
+    line.replace(begin, end - begin, "0");
+  }
+  nidb::Value doc;
+  try {
+    doc = nidb::parse_json(line);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+  const nidb::Value* run = doc.find("run");
+  const std::optional<std::int64_t> index = run != nullptr && run->is_int()
+                                                ? run->as_int()
+                                                : std::nullopt;
+  if (!index || *index < 0) return std::nullopt;
+  r.run = static_cast<std::size_t>(*index);
+  auto text = [&doc](std::string_view key) {
+    const nidb::Value* v = doc.find(key);
+    const std::string* s = v != nullptr ? v->as_string() : nullptr;
+    return s != nullptr ? *s : std::string();
+  };
+  r.oracle = text("oracle");
+  r.scenario = text("scenario");
+  r.status = text("status");
+  r.detail = text("detail");
+  r.corpus_path = text("corpus");
+  return r;
+}
+
 OracleResult replay_scenario(const Scenario& s, const Oracle& oracle) {
   return oracle.run(s);
 }
@@ -123,17 +128,15 @@ FuzzReport run_fuzz(const FuzzOptions& options, core::RunControl* control) {
 
   // Resume: adopt the existing journal's recorded runs when it belongs
   // to this exact campaign; otherwise start the journal over.
-  std::vector<std::string> done(options.runs);  // run index -> line or ""
+  std::vector<std::optional<FuzzRunRecord>> done(options.runs);
   bool fresh = true;
   if (fs::exists(journal_path)) {
     const std::vector<std::string> lines = read_lines(journal_path);
     if (!lines.empty() && lines.front() == header) {
       fresh = false;
       for (std::size_t i = 1; i < lines.size(); ++i) {
-        const std::int64_t run = extract_int(lines[i], "run");
-        if (run >= 0 && static_cast<std::size_t>(run) < options.runs) {
-          done[static_cast<std::size_t>(run)] = lines[i];
-        }
+        std::optional<FuzzRunRecord> record = parse_journal_line(lines[i]);
+        if (record && record->run < options.runs) done[record->run] = std::move(record);
       }
     }
   }
@@ -154,15 +157,9 @@ FuzzReport run_fuzz(const FuzzOptions& options, core::RunControl* control) {
     FuzzRunRecord record;
     record.run = i;
 
-    if (!done[i].empty()) {
+    if (done[i]) {
       // Satisfied from the journal: count it without re-executing.
-      const std::string& line = done[i];
-      record.seed = static_cast<std::uint64_t>(extract_int(line, "seed"));
-      record.oracle = extract_string(line, "oracle");
-      record.scenario = extract_string(line, "scenario");
-      record.status = extract_string(line, "status");
-      record.detail = extract_string(line, "detail");
-      record.corpus_path = extract_string(line, "corpus");
+      record = std::move(*done[i]);
       ++report.resumed;
     } else {
       if (out_of_budget()) {
@@ -202,7 +199,7 @@ FuzzReport run_fuzz(const FuzzOptions& options, core::RunControl* control) {
       } else {
         record.status = "pass";
       }
-      core::append_line_durable(journal_path, record_line(record));
+      core::append_line_durable(journal_path, journal_line(record));
     }
 
     if (record.status == "fail") {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,12 @@ struct FuzzReport {
 
   [[nodiscard]] bool clean() const { return failed == 0 && violations.empty(); }
 };
+
+/// A run's journal line (one JSON object, no newline), and its inverse:
+/// nullopt for a torn or malformed line, which resume skips (the run
+/// executes again).
+[[nodiscard]] std::string journal_line(const FuzzRunRecord& record);
+[[nodiscard]] std::optional<FuzzRunRecord> parse_journal_line(std::string line);
 
 /// Runs (or resumes) a campaign. Obs counters in the current registry:
 /// fuzz.runs, fuzz.failures, fuzz.shrink_steps, and per-oracle

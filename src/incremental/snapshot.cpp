@@ -192,6 +192,47 @@ std::map<std::string, std::uint64_t> rule_projections(
   return out;
 }
 
+namespace {
+
+/// One overlay's per-node texts, each serialized once and shared by the
+/// node's own signature block and by every line that names it as a peer.
+struct OverlayTexts {
+  std::string name;
+  const Graph* graph = nullptr;
+  std::vector<std::string> attrs;  // by NodeId
+  /// Collision domains of the ip overlay: "cd[" + every member's edge
+  /// and node attributes, sorted + "]" (empty for other nodes).
+  std::vector<std::string> domain;
+  /// BGP overlays: the node's id in the ip overlay (kInvalidNode if none).
+  std::vector<NodeId> ip_node;
+};
+
+std::size_t id_bound(const Graph& g) {
+  std::size_t bound = 0;
+  for (NodeId n : g.nodes()) bound = std::max<std::size_t>(bound, n + 1);
+  return bound;
+}
+
+std::string domain_text(const Graph& g, NodeId cd, const std::vector<std::string>& attrs) {
+  std::vector<std::string> members;
+  for (EdgeId me : g.incident_edges(cd)) {
+    NodeId member = g.edge_other(me, cd);
+    std::string m = g.node_name(member) + "{";
+    append_attrs(m, g.edge_attrs(me));
+    m += "}{";
+    m += attrs[member];
+    m += '}';
+    members.push_back(std::move(m));
+  }
+  std::sort(members.begin(), members.end());
+  std::string out = "cd[";
+  for (const auto& m : members) out += m;
+  out += ']';
+  return out;
+}
+
+}  // namespace
+
 DeviceSignatures device_signatures(const anm::AbstractNetworkModel& anm,
                                    const std::string& platform) {
   DeviceSignatures out;
@@ -214,72 +255,83 @@ DeviceSignatures device_signatures(const anm::AbstractNetworkModel& anm,
   }
   out.global_digest = core::fnv1a(global);
 
-  const bool has_ip = anm.has_overlay("ip");
+  std::vector<OverlayTexts> texts(overlays.size());
+  const OverlayTexts* ip = nullptr;
+  for (std::size_t i = 0; i < overlays.size(); ++i) {
+    OverlayTexts& t = texts[i];
+    t.name = overlays[i];
+    t.graph = &anm.overlay(t.name).unwrap();
+    t.attrs.resize(id_bound(*t.graph));
+    for (NodeId n : t.graph->nodes()) append_attrs(t.attrs[n], t.graph->node_attrs(n));
+    if (t.name == "ip") ip = &t;
+  }
+  for (OverlayTexts& t : texts) {
+    const Graph& g = *t.graph;
+    if (&t == ip) {
+      // Two hops through a collision domain: the subnet and every
+      // member's interface address feed this device's interface and its
+      // neighbors' addresses into the compiled record.
+      t.domain.resize(t.attrs.size());
+      for (NodeId n : g.nodes()) {
+        if (attr_or_unset(g.node_attrs(n), "collision_domain").truthy()) {
+          t.domain[n] = domain_text(g, n, t.attrs);
+        }
+      }
+    } else if (ip != nullptr && (t.name == "ebgp" || t.name == "ibgp")) {
+      // BGP sessions address the peer's loopback: each line carries the
+      // peer's ip overlay attributes.
+      t.ip_node.assign(t.attrs.size(), graph::kInvalidNode);
+      for (NodeId n : g.nodes()) t.ip_node[n] = ip->graph->find_node(g.node_name(n));
+    }
+  }
+
+  // A device's signature is the FNV-1a of its name, then per overlay its
+  // attribute block and its sorted incident-edge lines. The lines are
+  // built into one buffer and hashed in order without being joined.
+  std::string buf;
+  std::vector<std::size_t> ends;
+  std::vector<std::string_view> lines;
   for (NodeId d : phy.nodes()) {
     const std::string& device = phy.node_name(d);
-    std::string sig = device + "\n";
-    for (const std::string& name : overlays) {
-      const Graph& g = anm.overlay(name).unwrap();
+    std::uint64_t h = core::fnv1a("\n", core::fnv1a(device));
+    for (const OverlayTexts& t : texts) {
+      const Graph& g = *t.graph;
       NodeId n = g.find_node(device);
       if (n == graph::kInvalidNode) continue;
-      sig += "[" + name + "]{";
-      append_attrs(sig, g.node_attrs(n));
-      sig += "}\n";
-      std::vector<std::string> lines;
+      h = core::fnv1a("[", h);
+      h = core::fnv1a(t.name, h);
+      h = core::fnv1a("]{", h);
+      h = core::fnv1a(t.attrs[n], h);
+      h = core::fnv1a("}\n", h);
+      buf.clear();
+      ends.clear();
       for (EdgeId e : g.incident_edges(n)) {
         NodeId peer = g.edge_other(e, n);
-        std::string line;
-        line += g.edge_src(e) == n ? ">" : "<";
-        line += g.node_name(peer);
-        line += '{';
-        append_attrs(line, g.edge_attrs(e));
-        line += "}peer{";
-        append_attrs(line, g.node_attrs(peer));
-        line += '}';
-        // Two hops through a collision domain: the subnet and every
-        // member's interface address feed this device's interface and
-        // its neighbors' addresses into the compiled record.
-        bool peer_is_cd = false;
-        if (auto it = g.node_attrs(peer).find("collision_domain");
-            it != g.node_attrs(peer).end()) {
-          peer_is_cd = it->second.truthy();
+        buf += g.edge_src(e) == n ? ">" : "<";
+        buf += g.node_name(peer);
+        buf += '{';
+        append_attrs(buf, g.edge_attrs(e));
+        buf += "}peer{";
+        buf += t.attrs[peer];
+        buf += '}';
+        if (!t.domain.empty()) buf += t.domain[peer];
+        if (!t.ip_node.empty() && t.ip_node[peer] != graph::kInvalidNode) {
+          buf += "ip{";
+          buf += ip->attrs[t.ip_node[peer]];
+          buf += '}';
         }
-        if (name == "ip" && peer_is_cd) {
-          std::vector<std::string> members;
-          for (EdgeId me : g.incident_edges(peer)) {
-            NodeId member = g.edge_other(me, peer);
-            std::string m = g.node_name(member) + "{";
-            append_attrs(m, g.edge_attrs(me));
-            m += "}{";
-            append_attrs(m, g.node_attrs(member));
-            m += '}';
-            members.push_back(std::move(m));
-          }
-          std::sort(members.begin(), members.end());
-          line += "cd[";
-          for (const auto& m : members) line += m;
-          line += ']';
-        }
-        // BGP sessions address the peer's loopback: pull the peer's ip
-        // overlay attributes into the signature.
-        if ((name == "ebgp" || name == "ibgp") && has_ip) {
-          const Graph& ip = anm.overlay("ip").unwrap();
-          NodeId pn = ip.find_node(g.node_name(peer));
-          if (pn != graph::kInvalidNode) {
-            line += "ip{";
-            append_attrs(line, ip.node_attrs(pn));
-            line += '}';
-          }
-        }
-        lines.push_back(std::move(line));
+        ends.push_back(buf.size());
+      }
+      lines.clear();
+      std::size_t begin = 0;
+      for (std::size_t end : ends) {
+        lines.emplace_back(buf.data() + begin, end - begin);
+        begin = end;
       }
       std::sort(lines.begin(), lines.end());
-      for (const auto& line : lines) {
-        sig += line;
-        sig += '\n';
-      }
+      for (std::string_view line : lines) h = core::fnv1a("\n", core::fnv1a(line, h));
     }
-    out.sigs[device] = core::fnv1a(sig);
+    out.sigs[device] = h;
   }
   return out;
 }

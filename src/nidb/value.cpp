@@ -323,13 +323,15 @@ class JsonCursor {
   }
 
   std::string parse_string() {
-    if (next() != '"') fail("expected string");
+    if (eof() || next() != '"') fail("expected string");
     std::string out;
     while (true) {
       // Bulk-copy the run up to the next quote or escape; most strings in
-      // our artifacts contain neither, so this is a single substr assign.
-      std::size_t stop = text_.find_first_of("\"\\", pos_);
-      if (stop == std::string_view::npos) fail("unterminated string");
+      // our artifacts contain neither, so this is a single append. A plain
+      // byte loop: find_first_of tests every byte against the set.
+      std::size_t stop = pos_;
+      while (stop < text_.size() && text_[stop] != '"' && text_[stop] != '\\') ++stop;
+      if (stop == text_.size()) fail("unterminated string");
       out.append(text_, pos_, stop - pos_);
       pos_ = stop;
       char c = next();
@@ -438,7 +440,10 @@ class JsonCursor {
       skip_ws();
       if (eof() || next() != ':') fail("expected ':'");
       Value val = parse_value();
-      obj.insert_or_assign(std::move(key), std::move(val));
+      // Canonical JSON (every artifact we write) has its keys ascending:
+      // the end hint makes each insert amortized O(1). A duplicate key is
+      // still found and overwritten: the last one wins.
+      obj.insert_or_assign(obj.end(), std::move(key), std::move(val));
       skip_ws();
       if (eof()) fail("unterminated object");
       char c = next();

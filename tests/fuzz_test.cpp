@@ -269,6 +269,65 @@ TEST(FuzzSession, JsonEscapeHandlesControlCharacters) {
   EXPECT_EQ(quoted, "x=\"\\\"\x7f\"");
 }
 
+// Every control byte in a record's free text survives write -> resume
+// (the journal escapes them as \u00XX), and a torn line is skipped, so
+// its run executes again.
+TEST(FuzzSession, JournalRecordWithControlBytesRoundTripsThroughResume) {
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls += static_cast<char>(c);
+  controls += "\x7f\"\\/";
+  fuzz::FuzzRunRecord record;
+  record.run = 0;
+  record.seed = 0xfedcba9876543210ULL;  // past the int64 range
+  record.oracle = "ckpt-resume";
+  record.scenario = "scenario:" + controls;
+  record.status = "fail";
+  record.detail = "detail:" + controls;
+  record.corpus_path = "ckpt-resume/1.graphml";
+  auto expect_record = [&record](const fuzz::FuzzRunRecord& got) {
+    EXPECT_EQ(got.run, record.run);
+    EXPECT_EQ(got.seed, record.seed);
+    EXPECT_EQ(got.oracle, record.oracle);
+    EXPECT_EQ(got.scenario, record.scenario);
+    EXPECT_EQ(got.status, record.status);
+    EXPECT_EQ(got.detail, record.detail);
+    EXPECT_EQ(got.corpus_path, record.corpus_path);
+  };
+  const std::string line = fuzz::journal_line(record);
+  EXPECT_NE(line.find("\\u0001"), std::string::npos) << line;
+  const std::optional<fuzz::FuzzRunRecord> parsed = fuzz::parse_journal_line(line);
+  ASSERT_TRUE(parsed.has_value());
+  expect_record(*parsed);
+  EXPECT_FALSE(fuzz::parse_journal_line(line.substr(0, line.size() - 1)).has_value());
+
+  const core::TempDir tmp("autonet_fuzz_journal_roundtrip");
+  fuzz::FuzzOptions options;
+  options.seed = 4;
+  options.runs = 1;
+  options.max_nodes = 8;
+  options.corpus_dir = tmp.path();
+  obs::Registry registry;
+  obs::RegistryScope scope(registry);
+  (void)fuzz::run_fuzz(options);
+  const std::string path = tmp.path() + "/journal.jsonl";
+  const std::string header = slurp(path).substr(0, slurp(path).find('\n') + 1);
+
+  // The written record, then a torn copy of another run-0 record.
+  std::ofstream(path, std::ios::binary)
+      << header << line << "\n" << line.substr(0, line.size() / 2) << "\n";
+  const fuzz::FuzzReport resumed = fuzz::run_fuzz(options);
+  EXPECT_EQ(resumed.resumed, 1u);
+  EXPECT_EQ(resumed.executed, 0u);
+  ASSERT_EQ(resumed.violations.size(), 1u);
+  expect_record(resumed.violations[0]);
+
+  // A journal holding only the torn line re-executes the run.
+  std::ofstream(path, std::ios::binary) << header << line.substr(0, line.size() / 2) << "\n";
+  const fuzz::FuzzReport rerun = fuzz::run_fuzz(options);
+  EXPECT_EQ(rerun.resumed, 0u);
+  EXPECT_EQ(rerun.executed, 1u);
+}
+
 TEST(FuzzSession, CampaignJournalIsByteDeterministic) {
   const core::TempDir dir_a_tmp("autonet_fuzz_camp_a");
   const std::string& dir_a = dir_a_tmp.path();

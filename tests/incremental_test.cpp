@@ -15,9 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "core/hash.hpp"
 #include "core/temp_dir.hpp"
 #include "core/workflow.hpp"
 #include "experiment/runner.hpp"
+#include "fuzz/scenario.hpp"
 #include "graph/graph.hpp"
 #include "incremental/delta.hpp"
 #include "incremental/hot_apply.hpp"
@@ -348,6 +350,42 @@ TEST(Projections, DeviceSignaturesDirtyOnlyTheEditedNeighborhood) {
     if (s1.sigs.at(device) != sig) changed.insert(device);
   }
   EXPECT_EQ(changed, (std::set<std::string>{"r1", "r3"}));
+}
+
+// Signature values persist in snapshot.json: a baseline written by an
+// earlier build must plan the same dirty set, so the values themselves
+// are pinned, over the NREN model and 20 fuzz scenarios.
+TEST(Projections, DeviceSignatureValuesArePinned) {
+  obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
+  obs::RegistryScope scope(registry);
+  std::uint64_t folded = core::fnv1a("");
+  auto fold = [&folded](const incremental::DeviceSignatures& s) {
+    std::string text = std::to_string(s.global_digest) + "\n";
+    for (const auto& [device, sig] : s.sigs) {
+      text += device + "=" + std::to_string(sig) + "\n";
+    }
+    folded = core::fnv1a(text, folded);
+  };
+  {
+    core::Workflow wf;
+    wf.use_telemetry(&registry);
+    wf.load(topology::make_nren_model()).design();
+    const incremental::DeviceSignatures sigs =
+        incremental::device_signatures(wf.anm(), "netkit");
+    EXPECT_EQ(sigs.sigs.size(), 1158u);
+    fold(sigs);
+  }
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const fuzz::Scenario scenario = fuzz::generate_scenario(seed, 16);
+    core::WorkflowOptions options;
+    options.ibgp = scenario.ibgp;
+    options.platform = scenario.platform;
+    core::Workflow wf(options);
+    wf.use_telemetry(&registry);
+    wf.load(scenario.graph).design();
+    fold(incremental::device_signatures(wf.anm(), scenario.platform));
+  }
+  EXPECT_EQ(folded, 0x611060847d634a9cULL);
 }
 
 // --- Workflow: warm no-op -------------------------------------------------

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+
 #include "nidb/value.hpp"
 
 namespace {
@@ -123,6 +127,76 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(parse_json("tru"), std::runtime_error);
   EXPECT_THROW(parse_json("1 2"), std::runtime_error);
   EXPECT_THROW(parse_json("\"unterminated"), std::runtime_error);
+}
+
+// Every message and offset, pinned: the string scan and the sorted-key
+// fast path fail where and how the general path does. Input that ends
+// where a key should start fails at its end offset.
+TEST(Json, ParseErrorMessagesAndOffsetsArePinned) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"", "offset 0: unexpected end of input"},
+      {R"("unterminated)", "offset 1: unterminated string"},
+      {R"("a\nbc)", "offset 4: unterminated string"},
+      {R"("ab\)", "offset 4: unterminated escape"},
+      {R"({"k":"v\)", "offset 8: unterminated escape"},
+      {R"("a\x")", "offset 4: unknown escape"},
+      {R"("\u12")", "offset 3: bad \\u escape"},
+      {R"("\u12zz")", "offset 3: bad \\u escape"},
+      {R"({"a" 1})", "offset 6: expected ':'"},
+      {"[1,]", "offset 3: bad number"},
+      {R"({"a":1,})", "offset 8: expected string"},
+      {"{", "offset 1: expected string"},
+      {R"({"a":1,)", "offset 7: expected string"},
+      {R"({"a":1)", "offset 6: unterminated object"},
+      {R"({"b":1,"a":2)", "offset 12: unterminated object"},
+      {"[1 2]", "offset 4: expected ',' in array"},
+      {"[", "offset 1: unexpected end of input"},
+      {"1 2", "offset 2: trailing characters"},
+      {"tru", "offset 0: expected true"},
+      {"nul", "offset 0: expected null"},
+      {"-", "offset 1: bad number"},
+      {"99999999999999999999", "offset 20: bad number '99999999999999999999'"},
+  };
+  // A key expected at the end of the view: the byte past it (here a
+  // quote) is never read.
+  try {
+    (void)parse_json(std::string_view(R"({"a":1})", 1));
+    ADD_FAILURE() << "parsed a view past its end";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "JSON parse error at offset 1: expected string");
+  }
+  for (const auto& [text, message] : cases) {
+    try {
+      (void)parse_json(text);
+      ADD_FAILURE() << "parsed: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("JSON parse error at ") + message)
+          << text;
+    }
+  }
+}
+
+TEST(Json, DuplicateKeysLastWins) {
+  EXPECT_EQ(parse_json(R"({"a":1,"a":2})").to_json(), R"({"a": 2})");
+  // A duplicate after a later key: the sorted fast path must not apply.
+  EXPECT_EQ(parse_json(R"({"b":1,"a":2,"b":3})").to_json(), R"({"a": 2, "b": 3})");
+  EXPECT_EQ(parse_json(R"({"a":1,"b":2,"a":3,"c":4})").to_json(),
+            R"({"a": 3, "b": 2, "c": 4})");
+}
+
+TEST(Json, UnsortedKeysParseToTheSortedObject) {
+  const Value v = parse_json(R"({"z":{"y":1,"x":2},"a":[],"m":"s"})");
+  EXPECT_EQ(v.to_json(), R"({"a": [], "m": "s", "z": {"x": 2, "y": 1}})");
+  EXPECT_EQ(v, parse_json(R"({"a":[],"m":"s","z":{"x":2,"y":1}})"));
+  EXPECT_EQ(v.find("z")->find("x")->as_int(), 2);
+}
+
+TEST(Json, UnicodeEscapesDecodeToUtf8) {
+  EXPECT_EQ(*parse_json(R"("\u0041\u00e9\u20ac\u0000x")").as_string(),
+            std::string("A\xc3\xa9\xe2\x82\xac\0x", 8));
+  // Escapes between plain runs, and as object keys.
+  EXPECT_EQ(*parse_json(R"("ab\u0009cd\"e\\f")").as_string(), "ab\tcd\"e\\f");
+  EXPECT_EQ(parse_json(R"({"\u0062":1,"a":2})").to_json(), R"({"a": 2, "b": 1})");
 }
 
 TEST(Json, RoundTrip) {
