@@ -156,16 +156,32 @@ deploy::DeployResult deploy_result_from_value(const nidb::Value& v) {
 }
 
 // The render artifact (path -> config text); nullopt when it is not an
-// object. Non-string entries are skipped.
+// object. Non-string entries are skipped. Each config is moved out of
+// the parsed document, not copied.
 std::optional<render::ConfigTree> config_tree_from_json(const std::string& text) {
-  const nidb::Value doc = nidb::parse_json(text);
-  const auto* files = doc.as_object();
-  if (files == nullptr) return std::nullopt;
+  nidb::Value doc = nidb::parse_json(text);
+  if (!doc.is_object()) return std::nullopt;
   render::ConfigTree tree;
-  for (const auto& [path, content] : *files) {
-    if (const auto* config = content.as_string()) tree.put(path, *config);
+  for (auto& [path, content] : doc.object()) {
+    if (auto* config = content.as_string()) tree.put(path, std::move(*config));
   }
   return tree;
+}
+
+// The 'input' overlay of a load artifact: the graph an incremental run
+// diffs its own input against. nullopt when the artifact has none.
+std::optional<graph::Graph> input_graph_from_json(const std::string& text) {
+  const nidb::Value doc = nidb::parse_json(text);
+  const auto* overlays = doc.find("overlays");
+  if (overlays == nullptr || !overlays->is_array()) return std::nullopt;
+  for (const auto& overlay : *overlays->as_array()) {
+    const auto* name = overlay.find("name");
+    if (name != nullptr && name->as_string() != nullptr &&
+        *name->as_string() == "input") {
+      return graph_from_value(overlay);
+    }
+  }
+  return std::nullopt;
 }
 
 verify::Report lint_report_from_json(const std::string& text) {
@@ -351,18 +367,6 @@ std::string Workflow::lint_signature() const {
   return std::to_string(fnv1a(sig.str()));
 }
 
-incremental::DesignSpec Workflow::design_spec() const {
-  incremental::DesignSpec spec;
-  spec.ibgp = options_.ibgp;
-  spec.enable_isis = options_.enable_isis;
-  spec.enable_dns = options_.enable_dns;
-  spec.enable_rpki = options_.enable_rpki;
-  spec.ospf = options_.ospf;
-  spec.ip = options_.ip;
-  spec.rr_select = options_.rr_select;
-  return spec;
-}
-
 // A checkpoint only describes one (input, options) pair; anything else
 // recorded in the directory is from a different run and must not leak
 // into this one.
@@ -395,8 +399,10 @@ void Workflow::validate_checkpoint(const graph::Graph& input) {
 
 // Decides, once per run, what the baseline can contribute: everything
 // ("warm"), the snapshot-planned subset ("partial"), or nothing
-// ("cold"). Partial mode eagerly loads the baseline's design/compile/
-// render/lint artifacts — each later phase consults them.
+// ("cold"). Partial mode eagerly loads the baseline's input graph (from
+// its load artifact, for the input delta) and its compile/render/lint
+// artifacts — each later phase consults them. The design artifact is
+// not read: re-running the design rules costs less than restoring them.
 void Workflow::prepare_incremental() {
   if (baseline_ == nullptr) return;
   incr_.enabled = true;
@@ -450,10 +456,8 @@ void Workflow::prepare_incremental() {
     }
   };
   try {
-    restore("design", [this](const std::string& text) {
-      anm::AbstractNetworkModel fresh;
-      anm_from_value(nidb::parse_json(text), fresh);
-      baseline_anm_.emplace(std::move(fresh));
+    restore("load", [this](const std::string& text) {
+      baseline_input_ = input_graph_from_json(text);
     });
     restore("compile", [this](const std::string& text) {
       baseline_nidb_ = nidb::Nidb::from_json(text);
@@ -465,7 +469,7 @@ void Workflow::prepare_incremental() {
       baseline_lint_ = lint_report_from_json(text);
     });
   } catch (const std::exception&) {
-    baseline_anm_.reset();
+    baseline_input_.reset();
     baseline_nidb_.reset();
     baseline_configs_.reset();
     baseline_lint_.reset();
@@ -689,39 +693,12 @@ void Workflow::rehydrate_network() {
 
 // --- Incremental reuse ------------------------------------------------------
 
-// Satisfies one design rule from the baseline instead of re-running it:
-// the rule's overlay is copied wholesale (each rule's writes land in its
-// own overlay, including the overlay-local data() blocks ip and ibgp
-// record), plus the phy-node annotations the rr-auto selector leaves
-// behind. Returns false when the rule must run fresh.
-bool Workflow::copy_design_rule(const std::string& name) {
-  if (!incr_partial_ || !baseline_anm_ || !incr_.plan.rule_reused(name)) {
-    return false;
-  }
-  if (!baseline_anm_->has_overlay(name)) return false;
-  if (!anm_.has_overlay(name)) anm_.add_overlay(name);
-  anm_[name].unwrap() = (*baseline_anm_)[name].unwrap();
-  if (name == "ibgp" && options_.ibgp == "rr-auto") {
-    // The selector also marks phy nodes (rr, rr_cluster); carry those
-    // over so the designed model matches a fresh run byte for byte.
-    auto phy = anm_["phy"];
-    for (const auto& base_node : (*baseline_anm_)["phy"].nodes()) {
-      auto cur = phy.node(base_node.name());
-      if (!cur) continue;
-      for (const char* key : {"rr", "rr_cluster"}) {
-        if (base_node.attr(key).is_set()) cur->set(key, base_node.attr(key));
-      }
-    }
-  }
-  return true;
-}
-
-// Persists this run's snapshot next to its phase checkpoints once both
-// halves exist (rule projections from design entry, device signatures
-// from compile entry, NIDB hashes from render entry) — the data a later
-// `--incremental --since <this dir>` run plans against.
+// Persists this run's snapshot next to its phase checkpoints once the
+// device signatures (compile entry) and NIDB hashes (render entry) exist
+// — the data a later `--incremental --since <this dir>` run plans
+// against.
 void Workflow::maybe_write_snapshot() {
-  if (ckpt_ == nullptr || !snap_has_rules_ || !snap_has_sigs_) return;
+  if (ckpt_ == nullptr || !snap_has_sigs_) return;
   cur_snap_.input_hash = input_hash_;
   cur_snap_.platform = options_.platform;
   cur_snap_.lint_sig = lint_signature();
@@ -760,35 +737,22 @@ Workflow& Workflow::load(const graph::Graph& input) {
 
 Workflow& Workflow::design() {
   if (!loaded_) throw std::logic_error("Workflow::design before load");
-  // Rule projections hash the *post-load* model, so they must be taken
-  // here — a checkpoint restore replaces anm_ with the designed state.
-  // Consumers: the partial-mode design plan, and snapshot.json (own
-  // store only) — a warm run without a checkpoint needs neither.
-  if (ckpt_ != nullptr || incr_partial_) {
-    obs::Registry& registry = telemetry();
-    obs::RegistryScope use(registry);
-    obs::Span span(registry, "incremental.projections");
-    cur_snap_.rule_hashes = incremental::rule_projections(anm_, design_spec());
-    snap_has_rules_ = true;
-  }
-  if (incr_partial_ && baseline_anm_) {
-    incr_.delta = incremental::diff_graphs((*baseline_anm_)["input"].unwrap(),
-                                           anm_["input"].unwrap());
-    incremental::plan_design(*base_snap_, cur_snap_.rule_hashes,
-                             design_spec().rule_order(), incr_.plan);
+  // The input delta, for --explain and hot-apply; it stays empty when
+  // the baseline's load artifact was unreadable. The baseline graph is
+  // not needed after this.
+  if (baseline_input_) {
+    incr_.delta = incremental::diff_graphs(*baseline_input_, anm_["input"].unwrap());
+    baseline_input_.reset();
   }
   if (try_restore("design")) return *this;
   begin_phase("design");
   timed("design", [this]() {
     // One child span per design rule: the per-rule breakdown the §3.2
-    // phase timings could not see. Each rule is a cancellation point. A
-    // rule the recompute plan marks clean copies its baseline overlay
-    // instead of running, under the same span/record telemetry — the
-    // design artifact and report timeline stay byte-identical.
+    // phase timings could not see. Each rule is a cancellation point.
     auto rule = [this](const char* name, auto&& f) {
       core::checkpoint(control_, std::string("design.") + name);
       obs::Span span(std::string("design.") + name);
-      if (!copy_design_rule(name)) f();
+      f();
       obs::record("design", "rule", {{"rule", name}});
     };
     rule("ospf", [this] { design::build_ospf(anm_, options_.ospf); });
@@ -817,8 +781,8 @@ Workflow& Workflow::design() {
 Workflow& Workflow::compile() {
   if (!anm_.has_overlay("ip")) throw std::logic_error("Workflow::compile before design");
   // Device signatures read the fully designed model — available here
-  // whether design() ran fresh or restored. Same consumers as the rule
-  // projections: the device plan and snapshot.json.
+  // whether design() ran fresh or restored. Consumers: the partial-mode
+  // device plan and snapshot.json (own store only).
   if ((ckpt_ != nullptr || incr_partial_) && !snap_has_sigs_) {
     incremental::DeviceSignatures sigs;
     {

@@ -200,8 +200,8 @@ class Workflow {
   /// input and options match the baseline exactly, every phase restores
   /// from it ("warm"); when only the input differs and the baseline left
   /// a snapshot.json, the delta engine diffs the two snapshots and
-  /// re-executes only dirty design rules, dirty devices (compile and
-  /// render), and NIDB-reading lint rules ("partial") — reused work is
+  /// re-executes the design rules, dirty devices (compile and render),
+  /// and NIDB-reading lint rules ("partial") — reused work is
   /// rehydrated with telemetry parity, so results and run reports stay
   /// byte-identical to a from-scratch run. Obs counters:
   /// "delta.dirty_devices", "delta.reused", "incr.phase_reused",
@@ -289,16 +289,10 @@ class Workflow {
   /// seed campaigns inject) differ — so incremental reuse of the build
   /// phases stays sound across a campaign's per-run seeds.
   [[nodiscard]] std::string build_signature() const;
-  [[nodiscard]] incremental::DesignSpec design_spec() const;
   /// Lint-option slice of the options signature; part of snapshot.json.
   [[nodiscard]] std::string lint_signature() const;
-  /// Copies a reused design rule's baseline overlay (and, for rr-auto,
-  /// the phy reflector attributes) instead of executing the rule.
-  /// Returns false — run the rule — when the plan or baseline cannot
-  /// vouch for it.
-  bool copy_design_rule(const std::string& name);
-  /// Persists snapshot.json next to the phase checkpoints once the rule
-  /// projections and device signatures for this run are both known.
+  /// Persists snapshot.json next to the phase checkpoints once this
+  /// run's device signatures are known.
   void maybe_write_snapshot();
   /// Interruption path: drains the recorder's unsaved tail into
   /// flight.jsonl + run_report.partial.json next to the checkpoint
@@ -344,11 +338,10 @@ class Workflow {
   bool hot_apply_ = false;
   std::optional<incremental::Snapshot> base_snap_;
   incremental::Snapshot cur_snap_;
-  bool snap_has_rules_ = false;
   bool snap_has_sigs_ = false;
   bool incr_planned_devices_ = false;
   bool incr_planned_lint_ = false;
-  std::optional<anm::AbstractNetworkModel> baseline_anm_;
+  std::optional<graph::Graph> baseline_input_;  // dropped once diffed
   std::optional<nidb::Nidb> baseline_nidb_;
   std::optional<render::ConfigTree> baseline_configs_;
   std::optional<verify::Report> baseline_lint_;

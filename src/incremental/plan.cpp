@@ -1,53 +1,6 @@
 #include "incremental/plan.hpp"
 
-#include <algorithm>
-
 namespace autonet::incremental {
-
-bool RecomputePlan::rule_reused(std::string_view name) const {
-  return std::find(reused_rules.begin(), reused_rules.end(), name) !=
-         reused_rules.end();
-}
-
-void plan_design(const Snapshot& baseline,
-                 const std::map<std::string, std::uint64_t>& current,
-                 const std::vector<std::string>& order, RecomputePlan& plan) {
-  plan.reused_rules.clear();
-  plan.dirty_rules.clear();
-  // Static dependencies between design rules: dns consumes the ip
-  // overlay, so a dirty ip rule dirties dns even when its own projection
-  // is unchanged (the projection covers dns's post-load reads only).
-  auto depends_dirty = [&plan](const std::string& rule) -> const char* {
-    if (rule == "dns" &&
-        std::find(plan.dirty_rules.begin(), plan.dirty_rules.end(), "ip") !=
-            plan.dirty_rules.end()) {
-      return "ip";
-    }
-    return nullptr;
-  };
-  for (const std::string& rule : order) {
-    auto base = baseline.rule_hashes.find(rule);
-    auto cur = current.find(rule);
-    if (base == baseline.rule_hashes.end() || cur == current.end()) {
-      plan.dirty_rules.push_back(rule);
-      plan.explain.push_back("design." + rule + ": re-run (no baseline hash)");
-      continue;
-    }
-    if (const char* dep = depends_dirty(rule)) {
-      plan.dirty_rules.push_back(rule);
-      plan.explain.push_back("design." + rule + ": re-run (depends on dirty " +
-                             dep + ")");
-      continue;
-    }
-    if (base->second != cur->second) {
-      plan.dirty_rules.push_back(rule);
-      plan.explain.push_back("design." + rule + ": re-run (projection changed)");
-    } else {
-      plan.reused_rules.push_back(rule);
-      plan.explain.push_back("design." + rule + ": reused (projection unchanged)");
-    }
-  }
-}
 
 void plan_devices(const Snapshot& baseline, const DeviceSignatures& current,
                   RecomputePlan& plan) {

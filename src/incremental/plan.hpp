@@ -1,8 +1,8 @@
-// The recompute plan: which design rules, devices, and lint rules an
-// incremental run may satisfy from its baseline, derived from snapshot
-// hash comparison plus the static dirty-propagation edges documented in
-// docs/incremental.md (dns depends on ip; a global-digest change
-// dirties every device).
+// The recompute plan: which devices and lint rules an incremental run
+// may satisfy from its baseline, derived from snapshot hash comparison
+// plus the dirty-propagation edges documented in docs/incremental.md (a
+// global-digest change dirties every device). Design rules are not
+// planned: they always re-run.
 #pragma once
 
 #include <set>
@@ -17,8 +17,6 @@ struct RecomputePlan {
   /// "warm" (full restore), "partial" (per-phase reuse), or "cold".
   std::string mode = "cold";
 
-  std::vector<std::string> reused_rules;  // design rules, pipeline order
-  std::vector<std::string> dirty_rules;
   std::set<std::string> reused_devices;   // compile + render reuse set
   std::set<std::string> dirty_devices;
   /// Template-family lint rules may rehydrate from the baseline report.
@@ -26,16 +24,7 @@ struct RecomputePlan {
 
   /// One line per decision, for `autonet run --incremental --explain`.
   std::vector<std::string> explain;
-
-  [[nodiscard]] bool rule_reused(std::string_view name) const;
 };
-
-/// Compares baseline vs current rule projections. `order` is the rule
-/// execution order for this run; a rule missing from either snapshot is
-/// dirty, and a rule whose dependency is dirty is dirty.
-void plan_design(const Snapshot& baseline,
-                 const std::map<std::string, std::uint64_t>& current,
-                 const std::vector<std::string>& order, RecomputePlan& plan);
 
 /// Compares baseline vs current device signatures. A global-digest
 /// mismatch (overlay data, service overlays, platform) empties the reuse

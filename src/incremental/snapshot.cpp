@@ -1,23 +1,13 @@
 #include "incremental/snapshot.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <string_view>
+#include <vector>
 
 #include "core/hash.hpp"
 #include "nidb/value.hpp"
 
 namespace autonet::incremental {
-
-std::vector<std::string> DesignSpec::rule_order() const {
-  std::vector<std::string> order{"ospf"};
-  if (enable_isis) order.emplace_back("isis");
-  order.emplace_back("ebgp");
-  order.emplace_back("ibgp");
-  order.emplace_back("ip");
-  if (enable_dns) order.emplace_back("dns");
-  if (enable_rpki) order.emplace_back("rpki");
-  return order;
-}
 
 namespace {
 
@@ -44,155 +34,41 @@ void append_attrs(std::string& out, const AttrMap& attrs) {
   }
 }
 
-void append_attr(std::string& out, const AttrMap& attrs, std::string_view key) {
-  auto it = attrs.find(key);
-  out += key;
-  out += '=';
-  if (it != attrs.end()) append_value(out, it->second);
-  out += ';';
-}
-
-bool is_router(const Graph& g, NodeId n) {
-  auto it = g.node_attrs(n).find("device_type");
-  const std::string* s = it == g.node_attrs(n).end() ? nullptr : it->second.as_string();
-  return s != nullptr && *s == "router";
-}
-
-std::int64_t asn_of(const Graph& g, NodeId n) {
-  auto it = g.node_attrs(n).find("asn");
-  return it == g.node_attrs(n).end() ? 0 : it->second.as_int().value_or(0);
-}
-
-/// Node names sorted, each with the selected attribute slice. An empty
-/// key list means "all attributes".
-std::string serialize_nodes(const Graph& g,
-                            const std::function<bool(NodeId)>& keep,
-                            const std::vector<std::string>& keys) {
+/// The whole graph: its node lines (every attribute), then its edge
+/// lines (every attribute), each set sorted, then the graph-level data().
+std::string serialize_graph(const Graph& g) {
+  std::string out;
+  auto append_sorted = [&out](std::vector<std::string>& lines, const char* end) {
+    std::sort(lines.begin(), lines.end());
+    for (const auto& line : lines) {
+      out += line;
+      out += '\n';
+    }
+    out += end;
+  };
   std::vector<std::string> lines;
   for (NodeId n : g.nodes()) {
-    if (keep && !keep(n)) continue;
     std::string line = g.node_name(n);
     line += '{';
-    if (keys.empty()) {
-      append_attrs(line, g.node_attrs(n));
-    } else {
-      for (const auto& key : keys) append_attr(line, g.node_attrs(n), key);
-    }
+    append_attrs(line, g.node_attrs(n));
     line += '}';
     lines.push_back(std::move(line));
   }
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const auto& line : lines) {
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
-/// Edges sorted by serialized form. `with_attrs` false keeps endpoints
-/// only (for rules that read adjacency but no edge attribute).
-std::string serialize_edges(const Graph& g,
-                            const std::function<bool(EdgeId)>& keep,
-                            bool with_attrs) {
-  std::vector<std::string> lines;
+  append_sorted(lines, "--\n");
+  lines.clear();
   for (EdgeId e : g.edges()) {
-    if (keep && !keep(e)) continue;
     std::string a = g.node_name(g.edge_src(e));
     std::string b = g.node_name(g.edge_dst(e));
     if (!g.directed() && b < a) std::swap(a, b);
     std::string line = a + ">" + b + "{";
-    if (with_attrs) append_attrs(line, g.edge_attrs(e));
+    append_attrs(line, g.edge_attrs(e));
     line += '}';
     lines.push_back(std::move(line));
   }
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const auto& line : lines) {
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
-std::string serialize_graph(const Graph& g) {
-  std::string out = serialize_nodes(g, nullptr, {});
-  out += "--\n";
-  out += serialize_edges(g, nullptr, true);
-  out += "==\n";
+  append_sorted(lines, "==\n");
   append_attrs(out, g.data());
   return out;
 }
-
-}  // namespace
-
-// Each projection serializes a conservative superset of what the rule
-// reads from the post-load phy overlay (see src/design/*.cpp):
-//   ospf/isis  router nodes + intra-AS router edges with every attribute
-//              (explicit costs/areas live on input edge attributes)
-//   ebgp       router nodes + inter-AS router edges with every attribute
-//              (policy attributes like local_pref/med ride along)
-//   ibgp       router nodes (rr/rr_cluster included); rr-auto adds the
-//              full adjacency (centrality) and the selection options
-//   ip         all nodes + adjacency only — allocation is topology- and
-//              asn-driven, link attributes are never read, so a weight
-//              edit keeps the address plan clean
-//   dns        the ip projection (build_dns reads the derived ip
-//              overlay) — node attributes are already all included
-//   rpki       all nodes + edges with every attribute (relation)
-std::map<std::string, std::uint64_t> rule_projections(
-    const anm::AbstractNetworkModel& anm, const DesignSpec& spec) {
-  const Graph& phy = anm.overlay("phy").unwrap();
-  auto routers = [&phy](NodeId n) { return is_router(phy, n); };
-  auto intra_as = [&phy](EdgeId e) {
-    NodeId u = phy.edge_src(e);
-    NodeId v = phy.edge_dst(e);
-    return is_router(phy, u) && is_router(phy, v) && asn_of(phy, u) == asn_of(phy, v);
-  };
-  auto inter_as = [&phy](EdgeId e) {
-    NodeId u = phy.edge_src(e);
-    NodeId v = phy.edge_dst(e);
-    return is_router(phy, u) && is_router(phy, v) && asn_of(phy, u) != asn_of(phy, v);
-  };
-
-  const std::string router_nodes = serialize_nodes(phy, routers, {});
-  const std::string all_nodes = serialize_nodes(phy, nullptr, {});
-  const std::string adjacency = serialize_edges(phy, nullptr, false);
-
-  std::map<std::string, std::uint64_t> out;
-  for (const std::string& rule : spec.rule_order()) {
-    std::string proj = rule + "\n";
-    if (rule == "ospf") {
-      proj += router_nodes + serialize_edges(phy, intra_as, true);
-      proj += "opts:" + std::to_string(spec.ospf.default_area) + "," +
-              std::to_string(spec.ospf.default_cost) + "," + spec.ospf.cost_attr +
-              "," + spec.ospf.area_attr;
-    } else if (rule == "isis") {
-      proj += router_nodes + serialize_edges(phy, intra_as, true);
-    } else if (rule == "ebgp") {
-      proj += router_nodes + serialize_edges(phy, inter_as, true);
-    } else if (rule == "ibgp") {
-      proj += "mode:" + spec.ibgp + "\n" + router_nodes;
-      if (spec.ibgp == "rr-auto") {
-        proj += adjacency;
-        proj += "opts:" + std::to_string(spec.rr_select.per_as) + "," +
-                spec.rr_select.metric + "," +
-                std::to_string(spec.rr_select.min_as_size);
-      }
-    } else if (rule == "ip" || rule == "dns") {
-      proj += all_nodes + adjacency;
-      proj += "opts:" + spec.ip.infra_block + "," + spec.ip.loopback_block + "," +
-              std::to_string(spec.ip.ipv6) + "," + spec.ip.ipv6_infra_block + "," +
-              spec.ip.ipv6_loopback_block;
-    } else if (rule == "rpki") {
-      proj += all_nodes + serialize_edges(phy, nullptr, true);
-    }
-    out[rule] = core::fnv1a(proj);
-  }
-  return out;
-}
-
-namespace {
 
 /// One overlay's per-node texts, each serialized once and shared by the
 /// node's own signature block and by every line that names it as a peer.
@@ -384,12 +260,14 @@ std::string Snapshot::to_json() const {
   out["nidb_hash"] = std::to_string(nidb_hash);
   out["data_hash"] = std::to_string(data_hash);
   out["global_digest"] = std::to_string(global_digest);
-  out["rule_hashes"] = hash_map_to_value(rule_hashes);
   out["device_sigs"] = hash_map_to_value(device_sigs);
   out["template_hashes"] = hash_map_to_value(template_hashes);
   return nidb::Value(std::move(out)).to_json(true);
 }
 
+// Unknown keys are ignored: snapshots written while design rules were
+// still reused also carry per-rule projection hashes, and stay valid
+// baselines.
 std::optional<Snapshot> Snapshot::from_json(const std::string& text) {
   nidb::Value doc;
   try {
@@ -418,7 +296,6 @@ std::optional<Snapshot> Snapshot::from_json(const std::string& text) {
     if (const auto* s = doc.find("global_digest"); s != nullptr && s->as_string()) {
       snap.global_digest = std::stoull(*s->as_string());
     }
-    snap.rule_hashes = hash_map_from_value(doc.find("rule_hashes"));
     snap.device_sigs = hash_map_from_value(doc.find("device_sigs"));
     snap.template_hashes = hash_map_from_value(doc.find("template_hashes"));
   } catch (const std::exception&) {

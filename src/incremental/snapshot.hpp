@@ -1,50 +1,27 @@
-// Content-addressed snapshots of the pipeline's inputs: per-design-rule
-// projection hashes over the post-load ANM, per-device neighborhood
-// signatures over the designed ANM, and per-template-base version
-// hashes — all core::fnv1a, the hash the checkpoint manifest and the
-// analysis FibCache keys use. Two snapshots diff into a minimal
-// recompute plan (see plan.hpp): a design rule whose projection hash is
-// unchanged re-reads nothing it has not already read, so its baseline
-// overlay can be copied; a device whose signature is unchanged compiles
-// and renders to the same bytes, so its baseline records can be reused.
+// Content-addressed snapshots of the pipeline's inputs: per-device
+// neighborhood signatures over the designed ANM and per-template-base
+// version hashes — all core::fnv1a, the hash the checkpoint manifest and
+// the analysis FibCache keys use. Two snapshots diff into a minimal
+// recompute plan (see plan.hpp): a device whose signature is unchanged
+// compiles and renders to the same bytes, so its baseline records can be
+// reused. The design rules always re-run: they cost less than restoring
+// their output (docs/incremental.md, "What an incremental rebuild costs").
 //
-// Every projection is a conservative over-approximation of the rule's or
-// compiler's true read set: a hash match guarantees identical output, a
-// mismatch merely forces recomputation. The equivalence suite
+// A signature is a conservative over-approximation of the compiler's
+// true read set: a hash match guarantees identical output, a mismatch
+// merely forces recomputation. The equivalence suite
 // (tests/incremental_test.cpp) holds the byte-identity contract.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "anm/anm.hpp"
-#include "design/bgp.hpp"
-#include "design/igp.hpp"
-#include "design/ip_allocation.hpp"
 #include "render/renderer.hpp"
 
 namespace autonet::incremental {
-
-/// What the design phase is about to run, as snapshot input. Mirrors the
-/// design-relevant subset of core::WorkflowOptions without depending on
-/// core (which links this library).
-struct DesignSpec {
-  std::string ibgp = "mesh";  // "mesh", "rr", or "rr-auto"
-  bool enable_isis = false;
-  bool enable_dns = false;
-  bool enable_rpki = false;
-  design::OspfOptions ospf;
-  design::IpOptions ip;
-  design::RrSelectOptions rr_select;
-
-  /// Rule names in pipeline execution order for this spec.
-  [[nodiscard]] std::vector<std::string> rule_order() const;
-};
 
 /// Per-device signatures plus the whole-network digest they are only
 /// valid under: any global change (overlay data() such as allocated IP
@@ -65,18 +42,12 @@ struct Snapshot {
   std::uint64_t nidb_hash = 0;   // content hash of the compiled NIDB
   std::uint64_t data_hash = 0;   // NIDB data() section alone
   std::uint64_t global_digest = 0;
-  std::map<std::string, std::uint64_t> rule_hashes;
   std::map<std::string, std::uint64_t> device_sigs;
   std::map<std::string, std::uint64_t> template_hashes;
 
   [[nodiscard]] std::string to_json() const;
   [[nodiscard]] static std::optional<Snapshot> from_json(const std::string& text);
 };
-
-/// Per-design-rule projection hashes over the post-load ANM ('input' +
-/// 'phy' only; must run before any design rule mutates phy).
-[[nodiscard]] std::map<std::string, std::uint64_t> rule_projections(
-    const anm::AbstractNetworkModel& anm, const DesignSpec& spec);
 
 /// Per-device neighborhood signatures over the fully designed ANM: the
 /// device's node attributes and incident edges in every overlay, its

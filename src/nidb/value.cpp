@@ -54,6 +54,8 @@ const std::string* Value::as_string() const {
   return std::get_if<std::string>(&value_);
 }
 
+std::string* Value::as_string() { return std::get_if<std::string>(&value_); }
+
 const Array* Value::as_array() const {
   const auto* p = std::get_if<std::shared_ptr<Array>>(&value_);
   return p ? p->get() : nullptr;

@@ -58,6 +58,9 @@ class Value {
   [[nodiscard]] std::optional<std::int64_t> as_int() const;
   [[nodiscard]] std::optional<double> as_double() const;
   [[nodiscard]] const std::string* as_string() const;
+  /// Mutable form, so a caller that owns the document can move the
+  /// string out instead of copying it.
+  [[nodiscard]] std::string* as_string();
   [[nodiscard]] const Array* as_array() const;
   [[nodiscard]] const Object* as_object() const;
 

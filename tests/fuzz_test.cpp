@@ -7,9 +7,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "core/hash.hpp"
 #include "core/json.hpp"
@@ -346,6 +348,36 @@ TEST(FuzzSession, CampaignJournalIsByteDeterministic) {
   EXPECT_TRUE(a.clean()) << (a.violations.empty() ? "" : a.violations[0].detail);
   EXPECT_EQ(a.executed, 8u);
   EXPECT_EQ(slurp(dir_a + "/journal.jsonl"), slurp(dir_b + "/journal.jsonl"));
+}
+
+// Two same-seed campaigns at once, on two threads of one process, each
+// journaling into its own directory: any state the campaigns share (the
+// global registry, oracle and analysis caches) must not leak into a
+// run's outcome, so the journals are byte-identical. Six runs visit
+// every oracle once.
+TEST(FuzzSession, ConcurrentSameSeedCampaignsWriteIdenticalJournals) {
+  const core::TempDir dir_a("autonet_fuzz_concurrent_a");
+  const core::TempDir dir_b("autonet_fuzz_concurrent_b");
+  auto campaign = [](const std::string& dir, fuzz::FuzzReport& report) {
+    fuzz::FuzzOptions options;
+    options.seed = 1;
+    options.runs = 6;
+    options.max_nodes = 12;
+    options.corpus_dir = dir;
+    report = fuzz::run_fuzz(options);
+  };
+  fuzz::FuzzReport a;
+  fuzz::FuzzReport b;
+  std::thread first(campaign, dir_a.path(), std::ref(a));
+  std::thread second(campaign, dir_b.path(), std::ref(b));
+  first.join();
+  second.join();
+
+  EXPECT_EQ(a.executed, 6u);
+  EXPECT_EQ(b.executed, 6u);
+  const std::string journal = slurp(dir_a.path() + "/journal.jsonl");
+  EXPECT_FALSE(journal.empty());
+  EXPECT_EQ(journal, slurp(dir_b.path() + "/journal.jsonl"));
 }
 
 TEST(FuzzSession, CampaignResumesFromJournalWithoutReexecution) {

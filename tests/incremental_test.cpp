@@ -25,6 +25,7 @@
 #include "incremental/hot_apply.hpp"
 #include "incremental/plan.hpp"
 #include "incremental/snapshot.hpp"
+#include "nidb/value.hpp"
 #include "obs/registry.hpp"
 #include "report/run_report.hpp"
 #include "topology/builtin.hpp"
@@ -155,7 +156,6 @@ TEST(Snapshot, JsonRoundTripPreservesEveryField) {
   snap.nidb_hash = 0xdeadbeefull;
   snap.data_hash = 42;
   snap.global_digest = 7;
-  snap.rule_hashes = {{"ospf", 1}, {"ip", 2}};
   snap.device_sigs = {{"r1", 3}, {"r2", 4}};
   snap.template_hashes = {{"netkit", 5}};
 
@@ -167,7 +167,6 @@ TEST(Snapshot, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(back->nidb_hash, snap.nidb_hash);
   EXPECT_EQ(back->data_hash, snap.data_hash);
   EXPECT_EQ(back->global_digest, snap.global_digest);
-  EXPECT_EQ(back->rule_hashes, snap.rule_hashes);
   EXPECT_EQ(back->device_sigs, snap.device_sigs);
   EXPECT_EQ(back->template_hashes, snap.template_hashes);
   // Serialization is deterministic.
@@ -177,31 +176,6 @@ TEST(Snapshot, JsonRoundTripPreservesEveryField) {
 }
 
 // --- Recompute planning ---------------------------------------------------
-
-TEST(Plan, DesignDirtPropagatesAlongRuleDependencies) {
-  incremental::Snapshot base;
-  base.rule_hashes = {{"ospf", 1}, {"ebgp", 2}, {"ibgp", 3}, {"ip", 4},
-                      {"dns", 5}};
-  auto current = base.rule_hashes;
-  current["ip"] = 40;  // only ip's projection changed
-  const std::vector<std::string> order = {"ospf", "ebgp", "ibgp", "ip", "dns"};
-
-  incremental::RecomputePlan plan;
-  incremental::plan_design(base, current, order, plan);
-  EXPECT_EQ(plan.reused_rules,
-            (std::vector<std::string>{"ospf", "ebgp", "ibgp"}));
-  // dns reads the ip overlay, so an ip change dirties it transitively.
-  EXPECT_EQ(plan.dirty_rules, (std::vector<std::string>{"ip", "dns"}));
-  EXPECT_TRUE(plan.rule_reused("ospf"));
-  EXPECT_FALSE(plan.rule_reused("dns"));
-
-  // A rule absent from the baseline snapshot is dirty by definition.
-  incremental::RecomputePlan plan2;
-  incremental::Snapshot partial_base;
-  partial_base.rule_hashes = {{"ospf", 1}};
-  incremental::plan_design(partial_base, current, order, plan2);
-  EXPECT_FALSE(plan2.rule_reused("ebgp"));
-}
 
 TEST(Plan, DeviceSignatureMismatchDirtiesOnlyThatDevice) {
   incremental::Snapshot base;
@@ -294,31 +268,7 @@ TEST(HotApplyPlan, ActionTableMapsScopedDeltasAndRejectsTheRest) {
   EXPECT_FALSE(incremental::plan_hot_apply({}, "ospf_cost").applicable());
 }
 
-// --- Snapshot projections over real designs -------------------------------
-
-TEST(Projections, CostEditPerturbsOnlyTheOspfRule) {
-  obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
-  obs::RegistryScope scope(registry);
-  const incremental::DesignSpec spec;  // defaults match WorkflowOptions{}
-
-  core::Workflow before;
-  before.use_telemetry(&registry);
-  before.load(topology::figure5());
-  const auto p1 = incremental::rule_projections(before.anm(), spec);
-
-  graph::Graph edited = topology::figure5();
-  set_cost(edited, "r1", "r3", 10);
-  core::Workflow after;
-  after.use_telemetry(&registry);
-  after.load(edited);
-  const auto p2 = incremental::rule_projections(after.anm(), spec);
-
-  ASSERT_TRUE(p1.contains("ospf") && p2.contains("ospf"));
-  EXPECT_NE(p1.at("ospf"), p2.at("ospf"));
-  EXPECT_EQ(p1.at("ebgp"), p2.at("ebgp"));
-  EXPECT_EQ(p1.at("ibgp"), p2.at("ibgp"));
-  EXPECT_EQ(p1.at("ip"), p2.at("ip"));
-}
+// --- Device signatures over real designs ---------------------------------
 
 TEST(Projections, DeviceSignaturesDirtyOnlyTheEditedNeighborhood) {
   obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
@@ -435,17 +385,20 @@ TEST(IncrementalWorkflow, WarmNoopRestoresEveryPhaseWithZeroWork) {
 // --- Workflow: partial byte-equivalence -----------------------------------
 
 // Runs the full pipeline (+measure) over `g` with a checkpoint at `dir`,
-// chaining off `baseline` when non-empty; returns the run report.
+// chaining off `baseline` when non-empty (hot-applying the delta when
+// `hot_apply` is set and it applies); returns the run report.
 struct PipelineResult {
   std::string report;
   std::string sarif;
   core::IncrementalReport incr;
   std::uint64_t delta_dirty = 0;
   std::uint64_t delta_reused = 0;
+  std::uint64_t hot_applied = 0;
 };
 
 PipelineResult run_pipeline(const graph::Graph& g, const std::string& dir,
-                            const std::string& baseline = "") {
+                            const std::string& baseline = "",
+                            bool hot_apply = false) {
   verify::analysis::FibCache::global().clear();
   obs::Registry registry(std::make_unique<obs::VirtualClock>(1));
   obs::RegistryScope scope(registry);
@@ -453,6 +406,7 @@ PipelineResult run_pipeline(const graph::Graph& g, const std::string& dir,
   wf.use_telemetry(&registry);
   wf.checkpoint_to(dir);
   if (!baseline.empty()) wf.incremental_from(baseline);
+  wf.set_hot_apply(hot_apply);
   wf.run(g);
   wf.measure();
   PipelineResult result;
@@ -461,6 +415,7 @@ PipelineResult run_pipeline(const graph::Graph& g, const std::string& dir,
   result.incr = wf.incremental_report();
   result.delta_dirty = counter_value(registry, "delta.dirty_devices");
   result.delta_reused = counter_value(registry, "delta.reused");
+  result.hot_applied = counter_value(registry, "incr.hot_apply");
   return result;
 }
 
@@ -500,11 +455,6 @@ TEST(IncrementalWorkflow, CostEditOnSmallInternetIsByteIdenticalToScratch) {
   EXPECT_GE(incremental.incr.lint_rules_reused, 1u);
   EXPECT_EQ(incremental.delta_dirty, 2u);
   EXPECT_EQ(incremental.delta_reused, 12u);
-  // The ospf rule re-ran; the bgp and addressing rules were copied.
-  EXPECT_FALSE(incremental.incr.plan.rule_reused("ospf"));
-  EXPECT_TRUE(incremental.incr.plan.rule_reused("ebgp"));
-  EXPECT_TRUE(incremental.incr.plan.rule_reused("ibgp"));
-  EXPECT_TRUE(incremental.incr.plan.rule_reused("ip"));
 
   // Byte-identity: reports, SARIF, and every phase artifact.
   EXPECT_EQ(incremental.report, from_scratch.report);
@@ -566,6 +516,92 @@ TEST(IncrementalWorkflow, CostEditOnNrenModelIsByteIdenticalToScratch) {
   EXPECT_EQ(incremental.report, from_scratch.report);
   EXPECT_EQ(incremental.sarif, from_scratch.sarif);
   expect_identical_artifacts(part, scratch);
+}
+
+// A baseline written while design rules were still reused carries a
+// per-rule "rule_hashes" object in its snapshot.json. The key is
+// ignored: the rebuild plans the same partial reuse as from a current
+// baseline and stays byte-identical to scratch.
+TEST(IncrementalWorkflow, LegacySnapshotWithRuleHashesStillPlansPartial) {
+  const core::TempDir base("autonet_incr_legacy_base");
+  const core::TempDir current("autonet_incr_legacy_current");
+  const core::TempDir legacy("autonet_incr_legacy_part");
+  const core::TempDir scratch("autonet_incr_legacy_scratch");
+
+  const graph::Graph g = topology::small_internet();
+  graph::Graph edited = topology::small_internet();
+  set_cost(edited, "as300r1", "as300r3", 7);
+
+  (void)run_pipeline(g, base.path());
+  const PipelineResult from_scratch = run_pipeline(edited, scratch.path());
+  const PipelineResult planned = run_pipeline(edited, current.path(), base.path());
+
+  const std::string snapshot_path = base.path() + "/snapshot.json";
+  nidb::Value snapshot = nidb::parse_json(slurp(snapshot_path));
+  ASSERT_EQ(snapshot.find("rule_hashes"), nullptr);
+  nidb::Object rule_hashes;
+  for (const char* rule : {"ospf", "ebgp", "ibgp", "ip"}) {
+    rule_hashes[rule] = std::to_string(core::fnv1a(rule));
+  }
+  snapshot["rule_hashes"] = nidb::Value(std::move(rule_hashes));
+  std::ofstream(snapshot_path, std::ios::binary) << snapshot.to_json(true);
+
+  const PipelineResult incremental = run_pipeline(edited, legacy.path(), base.path());
+  EXPECT_EQ(incremental.incr.mode, "partial");
+  EXPECT_EQ(incremental.incr.delta.size(), 1u);
+  EXPECT_EQ(incremental.incr.plan.dirty_devices, planned.incr.plan.dirty_devices);
+  EXPECT_EQ(incremental.incr.plan.dirty_devices,
+            (std::set<std::string>{"as300r1", "as300r3"}));
+  EXPECT_EQ(incremental.incr.devices_reused_compile,
+            planned.incr.devices_reused_compile);
+  EXPECT_EQ(incremental.incr.devices_reused_render, planned.incr.devices_reused_render);
+  EXPECT_EQ(incremental.incr.lint_rules_reused, planned.incr.lint_rules_reused);
+  EXPECT_EQ(incremental.delta_reused, 12u);
+  EXPECT_EQ(incremental.report, from_scratch.report);
+  EXPECT_EQ(incremental.sarif, from_scratch.sarif);
+  expect_identical_artifacts(legacy.path(), scratch.path());
+}
+
+// The baseline's load artifact only supplies the input delta. Without
+// it (deleted, or failing its checkpoint hash) the rebuild still reuses
+// every clean device, with an empty delta, so hot-apply has nothing to
+// apply and deploy runs in full.
+TEST(IncrementalWorkflow, UnreadableBaselineLoadLeavesAnEmptyDeltaAndFullDeploy) {
+  const graph::Graph g = topology::small_internet();
+  graph::Graph edited = topology::small_internet();
+  set_cost(edited, "as300r1", "as300r3", 7);
+  const core::TempDir scratch("autonet_incr_noload_scratch");
+  const PipelineResult from_scratch = run_pipeline(edited, scratch.path());
+
+  for (const bool flip_byte : {false, true}) {
+    SCOPED_TRACE(flip_byte ? "flipped byte" : "deleted");
+    const core::TempDir base("autonet_incr_noload_base");
+    const core::TempDir part("autonet_incr_noload_part");
+    (void)run_pipeline(g, base.path());
+    const std::string load_path = base.path() + "/load.json";
+    if (flip_byte) {
+      std::string text = slurp(load_path);
+      ASSERT_FALSE(text.empty());
+      text[text.size() / 2] ^= 1;
+      std::ofstream(load_path, std::ios::binary) << text;
+    } else {
+      ASSERT_TRUE(fs::remove(load_path));
+    }
+
+    const PipelineResult incremental =
+        run_pipeline(edited, part.path(), base.path(), /*hot_apply=*/true);
+    EXPECT_EQ(incremental.incr.mode, "partial");
+    EXPECT_TRUE(incremental.incr.delta.empty());
+    EXPECT_EQ(incremental.incr.plan.dirty_devices,
+              (std::set<std::string>{"as300r1", "as300r3"}));
+    EXPECT_EQ(incremental.incr.devices_reused_compile, 12u);
+    EXPECT_EQ(incremental.incr.devices_reused_render, 12u);
+    EXPECT_FALSE(incremental.incr.hot_applied);
+    EXPECT_EQ(incremental.hot_applied, 0u);
+    EXPECT_EQ(incremental.report, from_scratch.report);
+    EXPECT_EQ(incremental.sarif, from_scratch.sarif);
+    expect_identical_artifacts(part.path(), scratch.path());
+  }
 }
 
 // --- Workflow: hot-apply --------------------------------------------------
